@@ -1,5 +1,5 @@
-// Autoregressive-decode bench: the pipelined executor against the
-// sequential execution paths on the transformer decode step.
+// Autoregressive-decode bench: the two whole-network execution paths
+// on the transformer decode step.
 //
 // Each step is dnn::decode_step_workload — attention projections,
 // score/value mixing against the KV cache, and the MLP pair, all at
@@ -7,29 +7,21 @@
 // dominated by the weight traversal, so executing a batch of decode
 // steps one item at a time (seq_loop — the natural per-request serving
 // loop, CompiledNetwork::run_network per item) re-traverses every
-// weight per item, and the layer-major batched path (seq_batch —
-// run_network_batch) pays a full pool barrier per layer.
-// rt::PipelinedExecutor splits the batch into per-worker chunks and
-// overlaps layer L+1 of chunk c with layer L of chunk c+1 through one
-// explicit task graph: chunk-packed kernels amortize the weight
-// traversals AND the whole batch costs one pool fork.
+// weight per item, while the layer-major batched path (seq_batch —
+// run_network_batch) traverses each weight once per batch and pays one
+// pool barrier per layer.
 //
 // The sweep runs per kernel set (pinned scalar and, when registered,
-// AVX2/FMA), per pool size (1 = the documented no-op fallback, where
-// the pipelined path degenerates to seq_batch; >1 = real overlap), per
-// KV-cache length, per batch. Before timing, every cell's pipelined
-// output is checked bit-exact (`==`) against both sequential paths of
-// the same artifact — a wrong-but-fast schedule fails loudly here
-// (non-zero exit).
+// AVX2/FMA), per KV-cache length, per batch, on the default pool.
+// Before timing, every cell's batched output is checked bit-exact
+// (`==`) against the per-item loop of the same artifact — a
+// wrong-but-fast path fails loudly here (non-zero exit).
 //
-// `speedup` is pipelined vs the per-item sequential loop (the decode
-// scenario's baseline); `speedup_vs_batch` isolates the pipelining
-// contribution against the already-batched sequential path — expect it
-// below 1 on single-core machines (chunking repeats weight traversals
-// with no spare core to hide them) and above 1 with real cores.
+// `speedup` = seq_loop_ms / seq_batch_ms: what batching decode steps
+// buys over serving them one at a time.
 //
-// Emits BENCH_decode.json (schema tasd-bench-decode-v1; see
-// docs/reproducing.md and docs/executor.md).
+// Emits BENCH_decode.json (schema tasd-bench-decode-v2; see
+// docs/reproducing.md).
 //
 // Usage: decode_loop [output.json] [--quick]
 #include <algorithm>
@@ -37,11 +29,11 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "dnn/workloads.hpp"
 #include "runtime/compiled_network.hpp"
-#include "runtime/pipelined_executor.hpp"
 #include "tensor/generator.hpp"
 
 namespace {
@@ -67,18 +59,12 @@ std::vector<std::optional<TasdConfig>> decode_configs(
 }
 
 struct Entry {
-  std::size_t threads = 0;
   Index kv = 0;
   std::size_t batch = 0;
-  bool noop = false;  ///< pipelining_is_noop: pipe is the seq_batch path
   double seq_loop_ms = 0.0;
   double seq_batch_ms = 0.0;
-  double pipe_ms = 0.0;
   [[nodiscard]] double speedup() const {
-    return pipe_ms > 0.0 ? seq_loop_ms / pipe_ms : 0.0;
-  }
-  [[nodiscard]] double speedup_vs_batch() const {
-    return pipe_ms > 0.0 ? seq_batch_ms / pipe_ms : 0.0;
+    return seq_batch_ms > 0.0 ? seq_loop_ms / seq_batch_ms : 0.0;
   }
 };
 
@@ -108,8 +94,6 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> batches =
       quick ? std::vector<std::size_t>{1, 4, 8}
             : std::vector<std::size_t>{1, 4, 8, 16};
-  const std::vector<std::size_t> pool_sizes =
-      quick ? std::vector<std::size_t>{1, 2} : std::vector<std::size_t>{1, 2, 4};
   const int repeats = quick ? 5 : 9;
 
   std::vector<std::pair<std::string, rt::CompileOptions>> kernel_sets;
@@ -124,10 +108,8 @@ int main(int argc, char** argv) {
     scalar.nm_batch_kernel = "batch-packed";
     kernel_sets.emplace_back("scalar", scalar);
     // Gate on registry membership, not *_available(): a toolchain whose
-    // compiler rejects -mavx2/-mavx512f builds no SIMD kernels even on
-    // capable hardware, and compiling an unregistered name would throw.
-    // (best_dense() no longer works as the gate — on an AVX-512 host it
-    // names the avx512 kernel, which must not hide the avx2 set.)
+    // compiler rejects -mavx2 builds no SIMD kernels even on capable
+    // hardware, and compiling an unregistered name would throw.
     const auto dense_names = rt::GemmDispatch::instance().dense_kernels();
     const auto registered = [&](const char* name) {
       return std::find(dense_names.begin(), dense_names.end(), name) !=
@@ -141,14 +123,6 @@ int main(int argc, char** argv) {
       simd.nm_batch_kernel = "nm-batch-avx2";
       kernel_sets.emplace_back("avx2", simd);
     }
-    if (registered("dense-avx512")) {
-      rt::CompileOptions simd = scalar;
-      simd.dense_kernel = "dense-avx512";
-      simd.nm_kernel = "nm-avx512";
-      simd.dense_batch_kernel = "dense-batch-avx512";
-      simd.nm_batch_kernel = "nm-batch-avx512";
-      kernel_sets.emplace_back("avx512", simd);
-    }
   }
 
   std::vector<KernelSetResult> results;
@@ -156,82 +130,63 @@ int main(int argc, char** argv) {
   for (const auto& [label, base_opt] : kernel_sets) {
     KernelSetResult r;
     r.label = label;
-    for (const std::size_t threads : pool_sizes) {
-      for (const Index kv : kv_lens) {
-        const auto net = dnn::decode_step_workload(kHidden, kv, true, 42);
-        rt::CompileOptions opt = base_opt;
-        opt.measure.num_threads = threads;
-        // Plans are shared through the process-wide cache, so only the
-        // first artifact per (weights, config) pair decomposes.
-        const auto engine = rt::compile(net, decode_configs(net), opt);
-        r.dense_kernel = engine.options().dense_kernel;
-        r.nm_kernel = engine.options().nm_kernel;
-        const rt::PipelinedExecutor exec(engine);
+    for (const Index kv : kv_lens) {
+      const auto net = dnn::decode_step_workload(kHidden, kv, true, 42);
+      // Plans are shared through the process-wide cache, so only the
+      // first artifact per (weights, config) pair decomposes.
+      const auto engine = rt::compile(net, decode_configs(net), base_opt);
+      r.dense_kernel = engine.options().dense_kernel;
+      r.nm_kernel = engine.options().nm_kernel;
 
-        // Dedicated warmup for this kernel set / pool / kv cell: spin
-        // the pool up, fault the weights in, and let every execution
-        // path touch its buffers once before anything is timed —
-        // otherwise the first row of each sweep absorbs those one-time
-        // costs and reads slower than the identical later rows.
-        {
-          Rng wrng(8001 + static_cast<std::uint64_t>(kv));
-          const std::vector<MatrixF> warm = {
-              random_dense(kHidden, 1, Dist::kNormalStd1, wrng)};
-          (void)engine.run_network(warm[0]);
-          (void)engine.run_network_batch(warm);
-          (void)exec.run_batch(warm);
-        }
+      // Dedicated warmup for this kernel set / kv cell: spin the pool
+      // up, fault the weights in, and let both execution paths touch
+      // their buffers once before anything is timed — otherwise the
+      // first row of each sweep absorbs those one-time costs and reads
+      // slower than the identical later rows.
+      {
+        Rng wrng(8001 + static_cast<std::uint64_t>(kv));
+        const std::vector<MatrixF> warm = {
+            random_dense(kHidden, 1, Dist::kNormalStd1, wrng)};
+        (void)engine.run_network(warm[0]);
+        (void)engine.run_network_batch(warm);
+      }
 
-        Rng rng(9001 + static_cast<std::uint64_t>(kv));
-        for (const std::size_t batch : batches) {
-          std::vector<MatrixF> inputs;
-          inputs.reserve(batch);
-          for (std::size_t i = 0; i < batch; ++i)
-            inputs.push_back(
-                random_dense(kHidden, 1, Dist::kNormalStd1, rng));
+      Rng rng(9001 + static_cast<std::uint64_t>(kv));
+      for (const std::size_t batch : batches) {
+        std::vector<MatrixF> inputs;
+        inputs.reserve(batch);
+        for (std::size_t i = 0; i < batch; ++i)
+          inputs.push_back(random_dense(kHidden, 1, Dist::kNormalStd1, rng));
 
-          // Bit-exactness gate: the pipelined schedule must reproduce
-          // both sequential paths exactly before its timing means
-          // anything.
-          const auto batch_out = engine.run_network_batch(inputs);
-          const auto pipe_out = exec.run_batch(inputs);
-          for (std::size_t i = 0; i < batch; ++i) {
-            if (!(batch_out[i] == pipe_out[i]) ||
-                !(engine.run_network(inputs[i]) == pipe_out[i])) {
-              std::fprintf(stderr,
-                           "** NOT BIT-EXACT: %s threads=%zu kv=%zu "
-                           "batch=%zu item %zu **\n",
-                           label.c_str(), threads,
-                           static_cast<std::size_t>(kv), batch, i);
-              return 1;
-            }
+        // Bit-exactness gate: the batched path must reproduce the
+        // per-item loop exactly before its timing means anything.
+        const auto batch_out = engine.run_network_batch(inputs);
+        for (std::size_t i = 0; i < batch; ++i) {
+          if (!(engine.run_network(inputs[i]) == batch_out[i])) {
+            std::fprintf(stderr,
+                         "** NOT BIT-EXACT: %s kv=%zu batch=%zu item %zu **\n",
+                         label.c_str(), static_cast<std::size_t>(kv), batch,
+                         i);
+            return 1;
           }
-
-          Entry e;
-          e.threads = threads;
-          e.kv = kv;
-          e.batch = batch;
-          e.noop = exec.pipelining_is_noop(batch);
-          e.seq_loop_ms = time_ms_min(repeats, [&] {
-            for (const MatrixF& x : inputs)
-              sink = sink + engine.run_network(x)(0, 0);
-          });
-          e.seq_batch_ms = time_ms_min(repeats, [&] {
-            sink = sink + engine.run_network_batch(inputs)[0](0, 0);
-          });
-          e.pipe_ms = time_ms_min(repeats, [&] {
-            sink = sink + exec.run_batch(inputs)[0](0, 0);
-          });
-          std::fprintf(
-              stderr,
-              "[%s] threads %zu  kv %5zu  batch %3zu%s  loop %9.4f ms  "
-              "batched %8.4f ms  pipe %9.4f ms  speedup %.3fx (vs batched "
-              "%.3fx)\n",
-              label.c_str(), threads, static_cast<std::size_t>(kv), batch,
-              e.noop ? "*" : " ", e.seq_loop_ms, e.seq_batch_ms, e.pipe_ms,
-              e.speedup(), e.speedup_vs_batch());
-          r.entries.push_back(e);
         }
+
+        Entry e;
+        e.kv = kv;
+        e.batch = batch;
+        e.seq_loop_ms = time_ms_min(repeats, [&] {
+          for (const MatrixF& x : inputs)
+            sink = sink + engine.run_network(x)(0, 0);
+        });
+        e.seq_batch_ms = time_ms_min(repeats, [&] {
+          sink = sink + engine.run_network_batch(inputs)[0](0, 0);
+        });
+        std::fprintf(stderr,
+                     "[%s] kv %5zu  batch %3zu  loop %9.4f ms  batched "
+                     "%8.4f ms  speedup %.3fx\n",
+                     label.c_str(), static_cast<std::size_t>(kv), batch,
+                     e.seq_loop_ms, e.seq_batch_ms, e.speedup());
+        r.entries.push_back(e);
       }
     }
     results.push_back(std::move(r));
@@ -242,11 +197,12 @@ int main(int argc, char** argv) {
     std::perror("decode_loop: cannot open output");
     return 1;
   }
-  std::fprintf(f, "{\n  \"schema\": \"tasd-bench-decode-v1\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"tasd-bench-decode-v2\",\n");
   std::fprintf(f, "  \"workload\": \"decode_step\",\n");
   std::fprintf(f, "  \"hidden\": %zu,\n", static_cast<std::size_t>(kHidden));
   std::fprintf(f, "  \"config\": \"2:4\",\n");
   std::fprintf(f, "  \"query_cols\": 1,\n");
+  std::fprintf(f, "  \"threads\": %zu,\n", rt::default_num_threads());
   std::fprintf(f, "  \"bit_exact\": true,\n");
   std::fprintf(f, "  \"kernel_sets\": [\n");
   for (std::size_t s = 0; s < results.size(); ++s) {
@@ -258,13 +214,11 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < r.entries.size(); ++i) {
       const auto& e = r.entries[i];
       std::fprintf(f,
-                   "      {\"threads\": %zu, \"kv\": %zu, \"batch\": %zu, "
-                   "\"noop\": %s, \"seq_loop_ms\": %.6f, "
-                   "\"seq_batch_ms\": %.6f, \"pipe_ms\": %.6f, "
-                   "\"speedup\": %.6f, \"speedup_vs_batch\": %.6f}%s\n",
-                   e.threads, static_cast<std::size_t>(e.kv), e.batch,
-                   e.noop ? "true" : "false", e.seq_loop_ms, e.seq_batch_ms,
-                   e.pipe_ms, e.speedup(), e.speedup_vs_batch(),
+                   "      {\"kv\": %zu, \"batch\": %zu, "
+                   "\"seq_loop_ms\": %.6f, \"seq_batch_ms\": %.6f, "
+                   "\"speedup\": %.6f}%s\n",
+                   static_cast<std::size_t>(e.kv), e.batch, e.seq_loop_ms,
+                   e.seq_batch_ms, e.speedup(),
                    i + 1 < r.entries.size() ? "," : "");
     }
     std::fprintf(f, "     ]}%s\n", s + 1 < results.size() ? "," : "");

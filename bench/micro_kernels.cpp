@@ -11,11 +11,19 @@
 // implementation at the same thread count (the acceptance number of the
 // SIMD backend).
 //
+// It also gates the compiled engine's headline property: on a 2:4
+// network of K=512, 128-column layers, every layer's compressed time
+// from CompiledNetwork::measure() must beat dense by at least 5 %
+// (tasd_ms < 0.95 * dense_ms). The gate is a wall-clock assertion, so it
+// lives here rather than in ctest; it runs in --quick mode too and a
+// failure makes the process exit non-zero.
+//
 // Usage: micro_kernels [output.json] [--quick]
 #include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +33,7 @@
 #include "common/timer.hpp"
 #include "core/decompose.hpp"
 #include "core/plan_cache.hpp"
+#include "runtime/compiled_network.hpp"
 #include "runtime/dense_gemm.hpp"
 #include "runtime/nm_gemm.hpp"
 #include "tensor/generator.hpp"
@@ -136,6 +145,59 @@ std::vector<std::string> impls_for(const std::vector<std::string>& registered,
       registered.end())
     impls.push_back(simd);
   return impls;
+}
+
+/// The engine speed gate: two 2:4 layers (64x512 and 128x512 weights at
+/// 10 % density, 128 columns) measured at full width through
+/// CompiledNetwork::measure(). Returns false when any layer's TASD time
+/// is not below 0.95x its dense time. Each layer's time is the minimum
+/// over 8 measure() rounds of min-of-25 repeats: the rounds interleave
+/// the dense and TASD timing windows, so one burst of host contention
+/// cannot land on only one side of the comparison.
+bool engine_speed_gate() {
+  dnn::NetworkWorkload net;
+  net.name = "engine-gate";
+  net.sparse_weights = true;
+  dnn::GemmWorkload l1;
+  l1.name = "a";
+  l1.m = 64;
+  l1.k = 512;
+  l1.n = 128;
+  l1.weight_density = 0.1;
+  l1.weight_seed = 5;
+  dnn::GemmWorkload l2 = l1;
+  l2.name = "b";
+  l2.m = 128;
+  l2.weight_seed = 6;
+  net.layers = {l1, l2};
+
+  rt::CompileOptions opt;
+  opt.n_divisor = 1;
+  opt.measure.repeats = 25;
+  const std::vector<std::optional<TasdConfig>> cfgs{TasdConfig::parse("2:4"),
+                                                    TasdConfig::parse("2:4")};
+  const auto engine = rt::compile(net, cfgs, opt);
+  std::vector<rt::LayerTiming> best = engine.measure();
+  for (int round = 1; round < 8; ++round) {
+    const auto timings = engine.measure();
+    for (std::size_t i = 0; i < best.size(); ++i) {
+      best[i].dense_ms = std::min(best[i].dense_ms, timings[i].dense_ms);
+      best[i].tasd_ms = std::min(best[i].tasd_ms, timings[i].tasd_ms);
+    }
+  }
+  bool ok = true;
+  for (const auto& t : best) {
+    const bool pass = t.tasd_ms < 0.95 * t.dense_ms;
+    ok = ok && pass;
+    std::fprintf(stderr,
+                 "engine gate %s %zux%zux%zu 2:4: tasd %.3f ms vs dense "
+                 "%.3f ms (%.2fx)%s\n",
+                 t.name.c_str(), static_cast<std::size_t>(t.m),
+                 static_cast<std::size_t>(t.k), static_cast<std::size_t>(t.n),
+                 t.tasd_ms, t.dense_ms, t.dense_ms / t.tasd_ms,
+                 pass ? "" : "  ** SLOWER THAN 0.95x DENSE **");
+  }
+  return ok;
 }
 
 }  // namespace
@@ -250,5 +312,6 @@ int main(int argc, char** argv) {
                   [](const Entry& e) { return e.bit_exact; });
   std::fprintf(stderr, "wrote %s (%zu entries)%s\n", out_path.c_str(),
                entries.size(), all_exact ? "" : "  ** EXACTNESS FAILURES **");
-  return all_exact ? 0 : 1;
+  const bool gate = engine_speed_gate();
+  return all_exact && gate ? 0 : 1;
 }

@@ -229,10 +229,8 @@ int main(int argc, char** argv) {
     scalar.nm_batch_kernel = "batch-packed";
     kernel_sets.emplace_back("scalar", scalar);
     // Gate on registry membership, not *_available(): a toolchain whose
-    // compiler rejects -mavx2/-mavx512f builds no SIMD kernels even on
-    // capable hardware, and compiling an unregistered name would throw.
-    // (best_dense() no longer works as the gate — on an AVX-512 host it
-    // names the avx512 kernel, which must not hide the avx2 set.)
+    // compiler rejects -mavx2 builds no SIMD kernels even on capable
+    // hardware, and compiling an unregistered name would throw.
     const auto dense_names = rt::GemmDispatch::instance().dense_kernels();
     const auto registered = [&](const char* name) {
       return std::find(dense_names.begin(), dense_names.end(), name) !=
@@ -245,14 +243,6 @@ int main(int argc, char** argv) {
       simd.dense_batch_kernel = "dense-batch-avx2";
       simd.nm_batch_kernel = "nm-batch-avx2";
       kernel_sets.emplace_back("avx2", simd);
-    }
-    if (registered("dense-avx512")) {
-      rt::CompileOptions simd = scalar;
-      simd.dense_kernel = "dense-avx512";
-      simd.nm_kernel = "nm-avx512";
-      simd.dense_batch_kernel = "dense-batch-avx512";
-      simd.nm_batch_kernel = "nm-batch-avx512";
-      kernel_sets.emplace_back("avx512", simd);
     }
   }
 

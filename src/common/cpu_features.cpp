@@ -23,12 +23,6 @@ unsigned long long read_xcr0() {
   return (static_cast<unsigned long long>(edx) << 32) | eax;
 }
 
-// CPUID.7.0 feature bits; <cpuid.h> ships named constants for these on
-// current toolchains but not on every one we must build with.
-constexpr unsigned int kBitAvx512F = 1U << 16;   // EBX
-constexpr unsigned int kBitAvx512Bw = 1U << 30;  // EBX
-constexpr unsigned int kBitAvx512Vnni = 1U << 11;  // ECX
-
 /// CPUID brand string (leaves 0x80000002-4), trimmed of the leading
 /// spaces vendors pad it with; "unknown-x86" when the leaves are absent.
 std::string brand_string() {
@@ -57,15 +51,8 @@ CpuFeatures detect_cpu_features() {
   const unsigned long long xcr0 = osxsave ? read_xcr0() : 0;
   // XCR0 bits 1 (SSE) and 2 (AVX): the OS context-switches YMM state.
   f.os_ymm = (xcr0 & 0x6) == 0x6;
-  // AVX-512 additionally needs bits 5 (opmask), 6 (ZMM low 256) and
-  // 7 (ZMM high 16 registers) — 0xE0 — on top of the YMM set.
-  f.os_zmm = (xcr0 & 0xE6) == 0xE6;
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx))
     f.avx2 = (ebx & bit_AVX2) != 0;
-    f.avx512f = (ebx & kBitAvx512F) != 0;
-    f.avx512bw = (ebx & kBitAvx512Bw) != 0;
-    f.avx512vnni = (ecx & kBitAvx512Vnni) != 0;
-  }
   return f;
 }
 
@@ -83,20 +70,14 @@ std::string host_brand() { return "non-x86"; }
 
 #endif
 
-namespace {
-
-bool env_disables(const char* var) {
-  const char* v = std::getenv(var);
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
-}  // namespace
-
 bool avx2_enabled(const CpuFeatures& features, bool disabled_by_env) {
   return features.avx2_usable() && !disabled_by_env;
 }
 
-bool avx2_disabled_by_env() { return env_disables("TASD_DISABLE_AVX2"); }
+bool avx2_disabled_by_env() {
+  const char* v = std::getenv("TASD_DISABLE_AVX2");
+  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
+}
 
 bool avx2_available() {
   static const bool available =
@@ -104,31 +85,17 @@ bool avx2_available() {
   return available;
 }
 
-bool avx512_enabled(const CpuFeatures& features, bool disabled_by_env) {
-  return features.avx512_usable() && !disabled_by_env;
-}
-
-bool avx512_disabled_by_env() { return env_disables("TASD_DISABLE_AVX512"); }
-
-bool avx512_available() {
-  static const bool available =
-      avx512_enabled(detect_cpu_features(), avx512_disabled_by_env());
-  return available;
-}
-
 std::string cpu_signature() {
   if (const char* v = std::getenv("TASD_CPU_SIGNATURE");
       v != nullptr && *v != '\0')
     return v;
-  // The env disables fold into the signature because they change the
+  // The env disable folds into the signature because it changes the
   // candidate pool a tuning run measured over — an artifact tuned with
-  // AVX-512 disabled must not restore onto the same CPU with it enabled.
+  // AVX2 disabled must not restore onto the same CPU with it enabled.
   static const std::string brand = host_brand();
   std::string sig = brand;
   sig += "|avx2=";
   sig += avx2_available() ? '1' : '0';
-  sig += ",avx512=";
-  sig += avx512_available() ? '1' : '0';
   return sig;
 }
 

@@ -1,11 +1,14 @@
 #include "common/logging.hpp"
 
+#include <atomic>
 #include <iostream>
 
 namespace tasd {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
+// Relaxed: the level is a standalone filter value — readers need some
+// recent value, not ordering against any other memory.
+std::atomic<LogLevel> g_level{LogLevel::kWarn};
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -19,8 +22,10 @@ const char* level_name(LogLevel level) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level = level; }
-LogLevel log_level() { return g_level; }
+void set_log_level(LogLevel level) {
+  g_level.store(level, std::memory_order_relaxed);
+}
+LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
 namespace detail {
 void log_line(LogLevel level, const std::string& msg) {

@@ -1,8 +1,10 @@
 // Minimal leveled logging to stderr.
 //
 // The library itself is silent by default; benches and examples raise the
-// level when narrating progress. Not thread-safe by design (all tools in
-// this repo are single-threaded).
+// level when narrating progress. Safe to use from any thread: the level
+// is a relaxed atomic (a level change need not order other memory), and
+// std::cerr is thread-safe, though lines from concurrent threads may
+// interleave.
 #pragma once
 
 #include <sstream>

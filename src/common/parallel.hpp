@@ -28,57 +28,6 @@
 
 namespace tasd::rt {
 
-class ThreadPool;
-
-/// An explicit dependency schedule of tasks, executed over a ThreadPool.
-///
-/// This is the task-level counterpart to parallel_for: where parallel_for
-/// expresses "these iterations are independent", a TaskGraph expresses
-/// "these tasks are independent *except* along these edges" — the shape
-/// the pipelined executor needs to overlap layer L+1 of batch item i with
-/// layer L of item i+1 without ad-hoc threads.
-///
-/// Semantics:
-///  * add(fn, deps) returns the task's id; every dependency must name an
-///    already-added task (deps < id), so the graph is acyclic by
-///    construction and a topological order always exists.
-///  * run(pool) executes every task exactly once, never starting a task
-///    before all of its dependencies finished. Ready tasks are claimed by
-///    up to pool.num_threads() workers (the calling thread participates);
-///    with a serial pool the tasks run inline in id order restricted to
-///    readiness — the serial path is a valid schedule of the same graph.
-///  * Task bodies may call parallel_for (it runs inline on the claiming
-///    worker — same nested rule as parallel_for itself), so a task can be
-///    "one kernel" without oversubscribing the pool.
-///  * Exceptions: the first thrown exception is captured, every task not
-///    yet started is skipped (dependencies of skipped tasks count as
-///    satisfied so run() always terminates), and the exception is
-///    rethrown on the calling thread. A TaskGraph is single-use: run()
-///    may be called at most once.
-class TaskGraph {
- public:
-  using TaskId = std::size_t;
-
-  /// Add a task depending on the given earlier tasks. Every entry of
-  /// `deps` must be a TaskId returned by a previous add().
-  TaskId add(std::function<void()> fn, const std::vector<TaskId>& deps = {});
-
-  [[nodiscard]] std::size_t size() const { return nodes_.size(); }
-
-  /// Execute the whole graph on `pool`; blocks until every task has run
-  /// (or been skipped after a failure), then rethrows the first failure.
-  void run(ThreadPool& pool);
-
- private:
-  struct Node {
-    std::function<void()> fn;
-    std::vector<TaskId> successors;
-    std::size_t unmet_deps = 0;
-  };
-  std::vector<Node> nodes_;
-  bool ran_ = false;
-};
-
 /// Reusable fixed-size worker pool executing parallel_for chunks.
 class ThreadPool {
  public:

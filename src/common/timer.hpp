@@ -34,8 +34,8 @@ class Timer {
 /// warm-up run faults code and data (instruction cache, branch
 /// predictors, lazily-allocated output buffers, thread-pool wake-up)
 /// out of the first *timed* run, so single-digit-repeat measurements —
-/// exactly the regime where the pipelined-vs-sequential deltas at GEMV
-/// widths live — are not dominated by one cold first iteration.
+/// exactly the regime where the loop-vs-batched deltas at GEMV widths
+/// live — are not dominated by one cold first iteration.
 inline double time_ms_min(int repeats, const std::function<void()>& fn,
                           int warmup = 1) {
   for (int w = 0; w < warmup; ++w) fn();

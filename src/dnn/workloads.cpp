@@ -224,7 +224,7 @@ NetworkWorkload decode_step_workload(Index hidden, Index kv_len,
 
   const Index h = hidden;
   // The chain invariant (layer k == previous layer m) is what makes the
-  // stack a run_network/PipelinedExecutor input: q_proj (hxh) feeds
+  // stack a run_network/run_network_batch input: q_proj (hxh) feeds
   // scores (kv x h, the K cache as weight), which feeds value mixing
   // (h x kv, V transposed), then out_proj and the MLP pair.
   b.add("dec.q_proj", h, h, 1);

@@ -69,7 +69,7 @@ NetworkWorkload bert_workload(bool sparse_weights, std::uint64_t seed);
 /// value mixing, output projection, then the MLP pair. Every layer has
 /// n = 1 (a single token's activations) and chains — each layer's K
 /// equals the previous layer's M — so the stack runs end-to-end through
-/// CompiledNetwork::run_network and rt::PipelinedExecutor. This is the
+/// CompiledNetwork::run_network and run_network_batch. This is the
 /// GEMV serving regime where per-layer dispatch overhead dominates
 /// arithmetic. `sparse_weights` prunes the four projection/MLP weights
 /// (90 %, BERT profile); the score/value layers are the KV cache itself

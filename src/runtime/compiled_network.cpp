@@ -208,13 +208,13 @@ std::vector<LayerTiming> CompiledNetwork::measure() const {
 
     const MatrixF b = random_dense(t.k, t.n, Dist::kNormalStd1, rng);
     // Engage the SIMD power license with untimed passes of BOTH paths
-    // before timing either: the first ZMM-heavy calls in a process run
+    // before timing either: the first FMA-heavy calls in a process run
     // during the frequency transition, and min-of-repeats would
     // otherwise credit the dense side (measured first) with the
     // pre-transition clocks while the compressed side pays the
-    // sustained AVX-512 rate — skewing exactly the dense/tasd ratio
+    // sustained vector rate — skewing exactly the dense/tasd ratio
     // this report exists to compare. The transition needs sustained
-    // wide-vector work, not one call, so warm until a small wall-time
+    // vector work, not one call, so warm until a small wall-time
     // budget is spent (at least one pass of each path).
     for (Timer warm; warm.millis() < 2.0;) {
       const MatrixF c = dense_gemm(l.weight, b, p);

@@ -105,9 +105,8 @@ std::vector<std::size_t> conversion_order(
 /// The shrunk measurement width measure() uses for a layer with `n`
 /// full-scale positions under a given n_divisor: rounded division with
 /// a floor of min(n, n_divisor - 1) — monotone in n, never zero (see
-/// CompileOptions::n_divisor). Shared with compile_and_measure
-/// (runtime/pipelined_executor.hpp) so both measurement paths shrink
-/// identically.
+/// CompileOptions::n_divisor). Shared with the autotuner
+/// (runtime/autotune.hpp) so it times candidates at the same width.
 Index measured_n(Index n, Index n_divisor);
 
 /// Serving throughput of a whole network at one batch size: the batch
@@ -297,10 +296,9 @@ class CompiledNetwork {
   /// Execute the whole network on a batch of inputs (ragged widths
   /// allowed), layer-major with a full barrier per layer: every item
   /// finishes layer L (one run_batch call) before any item starts layer
-  /// L+1. This is the sequential baseline the PipelinedExecutor
-  /// (runtime/pipelined_executor.hpp) overlaps; outputs are bit-identical
-  /// to looping run_network() per item at every thread count (the batch
-  /// kernels' contract).
+  /// L+1. This is the batched whole-network path; outputs are
+  /// bit-identical to looping run_network() per item at every thread
+  /// count (the batch kernels' contract).
   [[nodiscard]] std::vector<MatrixF> run_network_batch(
       std::span<const MatrixF> inputs) const;
 

@@ -11,9 +11,6 @@
 #ifdef TASD_HAVE_AVX2_KERNELS
 #include "runtime/kernels_avx2.hpp"
 #endif
-#ifdef TASD_HAVE_AVX512_KERNELS
-#include "runtime/kernels_avx512.hpp"
-#endif
 
 namespace tasd::rt {
 
@@ -275,10 +272,6 @@ GemmDispatch::GemmDispatch() : impl_(new Impl) {
   // Defaults stay scalar; best_*() prefers these names when present.
   if (avx2_available()) register_avx2_kernels(*this);
 #endif
-#ifdef TASD_HAVE_AVX512_KERNELS
-  // Gated independently of AVX2 so CI can pin either family alone.
-  if (avx512_available()) register_avx512_kernels(*this);
-#endif
 }
 
 GemmDispatch& GemmDispatch::instance() {
@@ -393,36 +386,30 @@ std::string GemmDispatch::default_nm_batch() const {
   return impl_->default_nm_batch;
 }
 
-// The static fallback chain: widest registered SIMD family first
-// (avx512 > avx2), the scalar registry default last. Per-layer
-// autotuning (runtime/autotune.hpp) refines this by measurement; these
-// remain the kStatic binding and the tuning fallback on a host-signature
-// mismatch.
+// The static fallback chain: the AVX2 family when registered, the
+// scalar registry default otherwise. Per-layer autotuning
+// (runtime/autotune.hpp) refines this by measurement; these remain the
+// kStatic binding and the tuning fallback on a host-signature mismatch.
 std::string GemmDispatch::best_dense() const {
   MutexLock lock(impl_->mutex);
-  if (impl_->dense.contains("dense-avx512")) return "dense-avx512";
   if (impl_->dense.contains("dense-avx2")) return "dense-avx2";
   return impl_->default_dense;
 }
 
 std::string GemmDispatch::best_nm() const {
   MutexLock lock(impl_->mutex);
-  if (impl_->nm.contains("nm-avx512")) return "nm-avx512";
   if (impl_->nm.contains("nm-avx2")) return "nm-avx2";
   return impl_->default_nm;
 }
 
 std::string GemmDispatch::best_dense_batch() const {
   MutexLock lock(impl_->mutex);
-  if (impl_->dense_batch.contains("dense-batch-avx512"))
-    return "dense-batch-avx512";
   if (impl_->dense_batch.contains("dense-batch-avx2")) return "dense-batch-avx2";
   return impl_->default_dense_batch;
 }
 
 std::string GemmDispatch::best_nm_batch() const {
   MutexLock lock(impl_->mutex);
-  if (impl_->nm_batch.contains("nm-batch-avx512")) return "nm-batch-avx512";
   if (impl_->nm_batch.contains("nm-batch-avx2")) return "nm-batch-avx2";
   return impl_->default_nm_batch;
 }

@@ -23,10 +23,6 @@
 // runtime/kernels_avx2.hpp and docs/kernels.md):
 //   "dense-avx2"        "nm-avx2"
 //   "dense-batch-avx2"  "nm-batch-avx2"
-// AVX-512 kernels (tasd::avx512_available() — CPUID F+BW, the OS saves
-// ZMM/opmask state, TASD_DISABLE_AVX512 unset; runtime/kernels_avx512.hpp):
-//   "dense-avx512"        "nm-avx512"
-//   "dense-batch-avx512"  "nm-batch-avx512"
 //
 // Every kernel partitions work by output row (batch kernels also by
 // batch column) with no shared float accumulation, so all of them
@@ -34,14 +30,12 @@
 // additionally preserve each output element's MAC order exactly as the
 // single-RHS kernels of the same family execute it, so a batched call is
 // bit-identical to looping that single-RHS kernel over the batch. The
-// scalar (mul+add) and FMA (AVX2 + AVX-512, one fused multiply-add per
-// step) families round differently and agree to float tolerance, not
-// bitwise; within the FMA family the two vector widths are bit-identical
-// to each other. best_dense() / best_nm() / best_*_batch() name the
-// statically-preferred registered kernel of each slot (avx512 > avx2 >
-// scalar) so callers can auto-select per artifact (CompileOptions
-// "auto"); per-layer autotuning (runtime/autotune.hpp) refines that
-// choice by measurement.
+// scalar (mul+add) and AVX2 (one fused multiply-add per step) families
+// round differently and agree to float tolerance, not bitwise.
+// best_dense() / best_nm() / best_*_batch() name the statically-preferred
+// registered kernel of each slot (avx2 > scalar) so callers can
+// auto-select per artifact (CompileOptions "auto"); per-layer
+// autotuning (runtime/autotune.hpp) refines that choice by measurement.
 #pragma once
 
 #include <functional>

@@ -164,7 +164,7 @@ TEST(ArtifactTuning, ForeignHostSignatureFallsBackToReResolution) {
   // Load "on another machine": the stored binding must NOT transfer;
   // every layer re-resolves through the static best_*() chain exactly
   // as an untuned artifact would.
-  const SignatureGuard sig("other-box|avx2=0,avx512=0");
+  const SignatureGuard sig("other-box|avx2=0");
   CompileOptions opt;
   opt.measure.use_plan_cache = false;
   const auto loaded = load_artifact(tmp.path, opt);
@@ -185,11 +185,11 @@ TEST(ArtifactTuning, ForeignHostWithAutotunePolicyReTunes) {
   TempPath tmp("tasd_retune.tasdart");
   save_artifact(compile(small_net(), small_configs(), tuned_opt()), tmp.path);
 
-  const SignatureGuard sig("other-box|avx2=0,avx512=0");
+  const SignatureGuard sig("other-box|avx2=0");
   const auto loaded = load_artifact(tmp.path, tuned_opt());
   ASSERT_TRUE(loaded.tuning().has_value());
   // Fresh measurement under the new identity, not the stored result.
-  EXPECT_EQ(loaded.tuning()->host_signature, "other-box|avx2=0,avx512=0");
+  EXPECT_EQ(loaded.tuning()->host_signature, "other-box|avx2=0");
 }
 
 TEST(ArtifactTuning, MatchingHostRestoreSkipsReMeasurement) {

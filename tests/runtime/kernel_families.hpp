@@ -10,23 +10,20 @@ namespace tasd::rt::testing {
 /// every scalar batch kernel with the scalar registry default (empty
 /// name). Batched == looped holds *within* a rounding family; across
 /// families results agree only to float tolerance (FMA vs mul+add —
-/// docs/kernels.md). The avx512 check runs first: both names contain
-/// "avx", so substring order matters.
+/// docs/kernels.md).
 inline std::string paired_single_kernel(const std::string& batch_kernel,
                                         bool dense) {
-  if (batch_kernel.find("avx512") != std::string::npos)
-    return dense ? "dense-avx512" : "nm-avx512";
   if (batch_kernel.find("avx2") != std::string::npos)
     return dense ? "dense-avx2" : "nm-avx2";
   return {};
 }
 
-/// The rounding family a kernel name belongs to. Every "avx" kernel —
-/// AVX2 and AVX-512 alike — issues exactly one FMA per k-step per
-/// output, so they share one family and agree bitwise with each other;
-/// the scalar tiled/serial/batch kernels form the mul+add family, and
-/// "reference" is its own single-member family (same math as scalar but
-/// a different accumulation order is not guaranteed). Across families
+/// The rounding family a kernel name belongs to. Every "avx" kernel
+/// issues exactly one FMA per k-step per output, so they share one
+/// family and agree bitwise with each other; the scalar
+/// tiled/serial/batch kernels form the mul+add family, and "reference"
+/// is its own single-member family (same math as scalar but a
+/// different accumulation order is not guaranteed). Across families
 /// only float tolerance holds.
 inline std::string rounding_family(const std::string& kernel) {
   if (kernel.find("avx") != std::string::npos) return "fma";

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cpu_features.hpp"
@@ -183,27 +184,66 @@ TEST(Autotune, StaticPolicyCompilesWithoutTuning) {
   EXPECT_FALSE(engine.tuning().has_value());
 }
 
+TEST(Autotune, ApplyTuningRejectsKernelsNoLongerRegistered) {
+  // Upgrade path: an artifact tuned on this host by an older build
+  // carries a matching signature but may name kernels that build
+  // registered and this one does not — e.g. the removed 512-bit family's
+  // "nm-avx<width>" and "dense-batch-avx<width>". apply_tuning must
+  // refuse the whole result and leave the static binding in place, so
+  // load_artifact falls back to best_*() re-resolution.
+  const TimerGuard guard([](const TuneMeasurement& m) {
+    return m.kernel == (m.nm ? "serial" : "tiled-serial") ||
+                   m.kernel == "batch-loop"
+               ? 1.0
+               : 9.0;
+  });
+  const TuningResult valid =
+      *compile(two_layer_net(), mixed_configs(), autotune_opt()).tuning();
+  ASSERT_EQ(valid.host_signature, cpu_signature());
+  const std::string removed_width = std::to_string(512);
+
+  for (const bool batch_slot : {false, true}) {
+    auto engine = compile(two_layer_net(), mixed_configs(), {});
+    TuningResult stale = valid;
+    for (LayerTuning& lt : stale.layers) {
+      // Layer "a" is the N:M layer, "b" the dense one; stale the single
+      // slot of the first pass and the batch slot of the second.
+      if (!batch_slot && lt.nm)
+        lt.chosen_single = "nm-avx" + removed_width;
+      if (batch_slot && !lt.nm)
+        lt.chosen_batch = "dense-batch-avx" + removed_width;
+    }
+    std::vector<std::pair<std::string, std::string>> before;
+    for (std::size_t i = 0; i < engine.layer_count(); ++i)
+      before.emplace_back(engine.layer(i).kernel, engine.layer(i).batch_kernel);
+
+    EXPECT_FALSE(detail::apply_tuning(engine, stale)) << batch_slot;
+    EXPECT_FALSE(engine.tuning().has_value());
+    for (std::size_t i = 0; i < engine.layer_count(); ++i) {
+      EXPECT_EQ(engine.layer(i).kernel, before[i].first) << i;
+      EXPECT_EQ(engine.layer(i).batch_kernel, before[i].second) << i;
+    }
+    // Control: the same result with registered names does transfer.
+    EXPECT_TRUE(detail::apply_tuning(engine, valid));
+    EXPECT_EQ(engine.layer(0).kernel, "serial");
+  }
+}
+
 TEST(Autotune, CandidatePoolHonorsTheSimdDisableFlags) {
-  // Forced-fallback coverage: under TASD_DISABLE_AVX512=1 (the avx2 CI
-  // leg) no avx512 candidate may appear in any table; with
-  // TASD_DISABLE_AVX2=1 stacked on top (the scalar leg) no avx kernel
-  // at all. On a fully enabled host this asserts the complement — the
-  // SIMD families are in the pool and autotune considered them.
+  // Forced-fallback coverage: under TASD_DISABLE_AVX2=1 (the scalar CI
+  // leg) no avx kernel may appear in any table. On an AVX2 host this
+  // asserts the complement — the SIMD family is in the pool and
+  // autotune considered it.
   const TimerGuard guard([](const TuneMeasurement&) { return 1.0; });
   const auto engine =
       compile(two_layer_net(), mixed_configs(), autotune_opt());
   ASSERT_TRUE(engine.tuning().has_value());
   for (const LayerTuning& lt : engine.tuning()->layers) {
     for (const auto* table : {&lt.single, &lt.batch}) {
-      const bool has512 = std::any_of(
-          table->begin(), table->end(), [](const TuneCandidate& c) {
-            return c.kernel.find("avx512") != std::string::npos;
-          });
       const bool has2 = std::any_of(
           table->begin(), table->end(), [](const TuneCandidate& c) {
             return c.kernel.find("avx2") != std::string::npos;
           });
-      EXPECT_EQ(has512, avx512_available()) << lt.layer;
       EXPECT_EQ(has2, avx2_available()) << lt.layer;
     }
   }

@@ -5,6 +5,7 @@
 #include "common/rng.hpp"
 #include "core/plan_cache.hpp"
 #include "dnn/layer_binding.hpp"
+#include "dnn/workloads.hpp"
 #include "runtime/dense_gemm.hpp"
 #include "tensor/generator.hpp"
 
@@ -128,6 +129,53 @@ TEST(CompiledNetwork, RunBatchMatchesLoopedRunAtEveryThreadCount) {
       EXPECT_EQ(batch[q], engine.run(0, bs[q]))
           << "threads=" << threads << " item=" << q;
   }
+}
+
+TEST(CompiledNetwork, RunNetworkBatchMatchesLoopedRunNetwork) {
+  // The decode stack chains six layers mixing 2:4 (projections/MLP) and
+  // dense (KV-cache) bindings at GEMV width: the layer-major batched
+  // forward must be bitwise the per-item forward at every pool size,
+  // including pools wider than the batch.
+  const auto net = dnn::decode_step_workload(64, 48, true, 515);
+  std::vector<std::optional<TasdConfig>> cfgs;
+  for (const auto& l : net.layers) {
+    if (l.weight_density < 1.0)
+      cfgs.emplace_back(TasdConfig::parse("2:4"));
+    else
+      cfgs.emplace_back(std::nullopt);
+  }
+  Rng rng(6061);
+  for (const std::size_t threads : {0u, 1u, 2u, 5u, 8u}) {
+    CompileOptions opt;
+    opt.query_cols = 1;
+    opt.measure.num_threads = threads;
+    const auto engine = compile(net, cfgs, opt);
+    ASSERT_TRUE(engine.is_chain());
+    for (const std::size_t items : {1u, 2u, 5u, 8u}) {
+      // Ragged widths cycling 1, 3, 2.
+      std::vector<MatrixF> xs;
+      for (std::size_t i = 0; i < items; ++i)
+        xs.push_back(random_dense(engine.layer(0).k,
+                                  static_cast<Index>(1 + (2 * i) % 3),
+                                  Dist::kNormalStd1, rng));
+      const auto batched = engine.run_network_batch(xs);
+      ASSERT_EQ(batched.size(), items);
+      for (std::size_t i = 0; i < items; ++i)
+        EXPECT_TRUE(batched[i] == engine.run_network(xs[i]))
+            << "threads=" << threads << " items=" << items << " item " << i;
+    }
+  }
+}
+
+TEST(CompiledNetwork, RunNetworkRejectsNonChainableNetwork) {
+  // tiny_net's second layer reduces over 128 rows, but the first layer
+  // outputs 64: there is no whole-network forward to run.
+  const auto engine = compile(tiny_net(), mixed_configs(), {});
+  EXPECT_FALSE(engine.is_chain());
+  Rng rng(6062);
+  const MatrixF x = random_dense(256, 1, Dist::kNormalStd1, rng);
+  EXPECT_THROW((void)engine.run_network(x), Error);
+  EXPECT_THROW((void)engine.run_network_batch({&x, 1}), Error);
 }
 
 TEST(CompiledNetwork, RepeatedRunsPerformZeroAdditionalDecompositions) {

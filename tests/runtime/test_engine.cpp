@@ -53,26 +53,6 @@ TEST(Engine, ConfigListMustAlign) {
   EXPECT_THROW(compile(net, {std::nullopt}, {}), Error);
 }
 
-TEST(Engine, CompressedKernelFasterOnSparseWeights) {
-  // 2:4 executes half the MACs of dense: expect a real speed-up. Layers
-  // are sized so per-measurement work is well above timer noise (the
-  // AVX2 kernels shrank absolute times ~3x), and min-of-repeats absorbs
-  // scheduler contention from parallel ctest.
-  auto net = tiny_net();
-  for (auto& l : net.layers) {
-    l.k = 512;
-    l.n = 128;
-  }
-  CompileOptions opt;
-  opt.n_divisor = 1;
-  opt.measure.repeats = 5;
-  const std::vector<std::optional<TasdConfig>> cfgs{
-      TasdConfig::parse("2:4"), TasdConfig::parse("2:4")};
-  const auto timings = compile(net, cfgs, opt).measure();
-  for (const auto& t : timings)
-    EXPECT_LT(t.tasd_ms, t.dense_ms * 0.95) << t.name;
-}
-
 TEST(Engine, NetworkLatencyComposition) {
   std::vector<LayerTiming> timings(3);
   for (std::size_t i = 0; i < 3; ++i) {

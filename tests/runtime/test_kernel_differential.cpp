@@ -1,6 +1,6 @@
 // Differential property sweep (ISSUE 10 satellite): one seeded
 // random-shape generator drives every registered kernel family — scalar,
-// AVX2, AVX-512, and whatever a future backend registers — through the
+// AVX2, and whatever a future backend registers — through the
 // same draws and asserts the cross-kernel contract from docs/kernels.md:
 //
 //  * within a rounding family results are bit-identical (kernel vs
@@ -47,9 +47,9 @@ struct Draw {
 };
 
 // The generator: shapes land on and around the kernels' blocking grains
-// (AVX-512 handles 32/16-col blocks with a masked tail, AVX2 8-col,
-// scalar tiles 512) — uniform draws over [1, 64]x[8, 160]x[1, 48] cross
-// every remainder path within a few draws. K is rounded to a multiple
+// (AVX2 handles 32/16/8-col blocks with a masked tail, scalar tiles
+// 512) — uniform draws over [1, 64]x[8, 160]x[1, 48] cross every
+// remainder path within a few draws. K is rounded to a multiple
 // of 8 so the same draw can also feed the N:M cases (patterns over M=4
 // and M=8 groups); raggedness everywhere else is the point.
 std::vector<Draw> make_draws(std::uint64_t seed) {

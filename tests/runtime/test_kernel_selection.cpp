@@ -1,9 +1,9 @@
 // Kernel auto-selection: CompileOptions' "auto" names resolve through
 // GemmDispatch::best_*() at compile() time — the static fallback chain
-// avx512 > avx2 > scalar, walking down as runtime detection (or the
-// TASD_DISABLE_AVX512 / TASD_DISABLE_AVX2 escape hatches the CI matrix
-// legs set) removes families. On a scalar-only pool "auto" must bind
-// the tiled kernels and stay bit-exact.
+// avx2 > scalar, walking down when runtime detection (or the
+// TASD_DISABLE_AVX2 escape hatch the scalar CI leg sets) removes the
+// AVX2 family. On a scalar-only pool "auto" must bind the tiled kernels
+// and stay bit-exact.
 #include <gtest/gtest.h>
 
 #include "common/cpu_features.hpp"
@@ -49,17 +49,12 @@ TEST(KernelSelection, AutoResolvesToBestAtCompileTime) {
   EXPECT_EQ(opt.nm_kernel, dispatch.best_nm());
   EXPECT_EQ(opt.dense_batch_kernel, dispatch.best_dense_batch());
   EXPECT_EQ(opt.nm_batch_kernel, dispatch.best_nm_batch());
-  if (avx512_available()) {
-    // Static chain head: AVX-512 outranks AVX2 when both registered.
-    EXPECT_EQ(opt.dense_kernel, "dense-avx512");
-    EXPECT_EQ(opt.nm_kernel, "nm-avx512");
-    EXPECT_EQ(opt.dense_batch_kernel, "dense-batch-avx512");
-    EXPECT_EQ(opt.nm_batch_kernel, "nm-batch-avx512");
-  } else if (avx2_available()) {
-    // Middle of the chain: no AVX-512 (hardware or TASD_DISABLE_AVX512
-    // as in the avx2 CI leg) falls to the AVX2 family.
+  if (avx2_available()) {
+    // Static chain head: the AVX2 family when registered.
     EXPECT_EQ(opt.dense_kernel, "dense-avx2");
     EXPECT_EQ(opt.nm_kernel, "nm-avx2");
+    EXPECT_EQ(opt.dense_batch_kernel, "dense-batch-avx2");
+    EXPECT_EQ(opt.nm_batch_kernel, "nm-batch-avx2");
   } else {
     // Forced-fallback acceptance: without any SIMD family the auto
     // selection must pick the scalar tiled kernels.

@@ -167,11 +167,10 @@ TEST(GemmDispatchRegistry, ListsBuiltinsAndDefaults) {
 }
 
 TEST(GemmDispatchRegistry, SimdKernelsFollowRuntimeDetection) {
-  // Each SIMD family is registered exactly when the executing CPU/OS
-  // can run it (and its TASD_DISABLE_* flag is unset); best_*() walks
-  // the avx512 > avx2 > scalar chain over whatever registered. The
-  // avx2-only and scalar CI legs exercise the lower rungs on capable
-  // hardware via the disable flags.
+  // The AVX2 family is registered exactly when the executing CPU/OS can
+  // run it (and TASD_DISABLE_AVX2 is unset); best_*() walks the
+  // avx2 > scalar chain over whatever registered. The scalar CI leg
+  // exercises the lower rung on capable hardware via the disable flag.
   auto& dispatch = GemmDispatch::instance();
   const auto dense = dispatch.dense_kernels();
   const auto nm = dispatch.nm_kernels();
@@ -185,16 +184,7 @@ TEST(GemmDispatchRegistry, SimdKernelsFollowRuntimeDetection) {
   EXPECT_EQ(has(nm, "nm-avx2"), avx2_available());
   EXPECT_EQ(has(dense_batch, "dense-batch-avx2"), avx2_available());
   EXPECT_EQ(has(nm_batch, "nm-batch-avx2"), avx2_available());
-  EXPECT_EQ(has(dense, "dense-avx512"), avx512_available());
-  EXPECT_EQ(has(nm, "nm-avx512"), avx512_available());
-  EXPECT_EQ(has(dense_batch, "dense-batch-avx512"), avx512_available());
-  EXPECT_EQ(has(nm_batch, "nm-batch-avx512"), avx512_available());
-  if (avx512_available()) {
-    EXPECT_EQ(dispatch.best_dense(), "dense-avx512");
-    EXPECT_EQ(dispatch.best_nm(), "nm-avx512");
-    EXPECT_EQ(dispatch.best_dense_batch(), "dense-batch-avx512");
-    EXPECT_EQ(dispatch.best_nm_batch(), "nm-batch-avx512");
-  } else if (avx2_available()) {
+  if (avx2_available()) {
     EXPECT_EQ(dispatch.best_dense(), "dense-avx2");
     EXPECT_EQ(dispatch.best_nm(), "nm-avx2");
     EXPECT_EQ(dispatch.best_dense_batch(), "dense-batch-avx2");
