@@ -13,7 +13,7 @@
 // in the same process.
 //
 // Hard gates (non-zero exit):
-//  * per layer and slot, chosen_ms <= static_ms — the winner is the
+//  * per layer and workload, chosen_ms <= static_ms — the winner is the
 //    table argmin and the static name is in the table, so autotuning
 //    can never regress a layer beyond measurement noise (and the noise
 //    is shared: one table, one protocol);
@@ -133,20 +133,18 @@ int main(int argc, char** argv) {
   const auto& dispatch = rt::GemmDispatch::instance();
   bool never_slower = true;
   for (const rt::LayerTuning& lt : result.layers) {
-    const std::string static_single =
+    const std::string static_name =
         lt.nm ? dispatch.best_nm() : dispatch.best_dense();
-    const std::string static_batch =
-        lt.nm ? dispatch.best_nm_batch() : dispatch.best_dense_batch();
     const double chosen_s = table_ms(lt.single, lt.chosen_single);
-    const double static_s = table_ms(lt.single, static_single);
+    const double static_s = table_ms(lt.single, static_name);
     const double chosen_b = table_ms(lt.batch, lt.chosen_batch);
-    const double static_b = table_ms(lt.batch, static_batch);
+    const double static_b = table_ms(lt.batch, static_name);
     std::fprintf(stderr,
                  "[autotune] %-7s single %-18s %8.4f ms (static %-18s "
                  "%8.4f ms)  batch %-18s %8.4f ms (static %-18s %8.4f ms)\n",
                  lt.layer.c_str(), lt.chosen_single.c_str(), chosen_s,
-                 static_single.c_str(), static_s, lt.chosen_batch.c_str(),
-                 chosen_b, static_batch.c_str(), static_b);
+                 static_name.c_str(), static_s, lt.chosen_batch.c_str(),
+                 chosen_b, static_name.c_str(), static_b);
     if (chosen_s < 0 || static_s < 0 || chosen_b < 0 || static_b < 0 ||
         chosen_s > static_s || chosen_b > static_b) {
       std::fprintf(stderr, "** autotuned binding slower than static on %s **\n",
@@ -161,8 +159,6 @@ int main(int argc, char** argv) {
   rt::CompileOptions scalar_opt;
   scalar_opt.dense_kernel = "tiled-parallel";
   scalar_opt.nm_kernel = "row-parallel";
-  scalar_opt.dense_batch_kernel = "batch-packed";
-  scalar_opt.nm_batch_kernel = "batch-packed";
   const auto scalar = rt::compile(net, configs, scalar_opt);
   Rng rng(7790);
   for (std::size_t i = 0; i < net.layers.size(); ++i) {
@@ -234,27 +230,25 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"layers\": [\n");
   for (std::size_t i = 0; i < result.layers.size(); ++i) {
     const rt::LayerTuning& lt = result.layers[i];
-    const std::string static_single =
+    const std::string static_name =
         lt.nm ? dispatch.best_nm() : dispatch.best_dense();
-    const std::string static_batch =
-        lt.nm ? dispatch.best_nm_batch() : dispatch.best_dense_batch();
     std::fprintf(f, "    {\n      \"layer\": \"%s\",\n", lt.layer.c_str());
     std::fprintf(f, "      \"nm\": %s,\n", lt.nm ? "true" : "false");
     std::fprintf(f, "      \"chosen_single\": \"%s\",\n",
                  lt.chosen_single.c_str());
     std::fprintf(f, "      \"static_single\": \"%s\",\n",
-                 static_single.c_str());
+                 static_name.c_str());
     std::fprintf(f, "      \"chosen_batch\": \"%s\",\n",
                  lt.chosen_batch.c_str());
-    std::fprintf(f, "      \"static_batch\": \"%s\",\n", static_batch.c_str());
+    std::fprintf(f, "      \"static_batch\": \"%s\",\n", static_name.c_str());
     std::fprintf(f, "      \"single_chosen_ms\": %.6f,\n",
                  table_ms(lt.single, lt.chosen_single));
     std::fprintf(f, "      \"single_static_ms\": %.6f,\n",
-                 table_ms(lt.single, static_single));
+                 table_ms(lt.single, static_name));
     std::fprintf(f, "      \"batch_chosen_ms\": %.6f,\n",
                  table_ms(lt.batch, lt.chosen_batch));
     std::fprintf(f, "      \"batch_static_ms\": %.6f,\n",
-                 table_ms(lt.batch, static_batch));
+                 table_ms(lt.batch, static_name));
     print_table(f, "candidates_single", lt.single, ",");
     print_table(f, "candidates_batch", lt.batch, "");
     std::fprintf(f, "    }%s\n", i + 1 < result.layers.size() ? "," : "");

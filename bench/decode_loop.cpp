@@ -104,8 +104,6 @@ int main(int argc, char** argv) {
     scalar.measure.repeats = 1;
     scalar.dense_kernel = "tiled-parallel";
     scalar.nm_kernel = "row-parallel";
-    scalar.dense_batch_kernel = "batch-packed";
-    scalar.nm_batch_kernel = "batch-packed";
     kernel_sets.emplace_back("scalar", scalar);
     // Gate on registry membership, not *_available(): a toolchain whose
     // compiler rejects -mavx2 builds no SIMD kernels even on capable
@@ -119,8 +117,6 @@ int main(int argc, char** argv) {
       rt::CompileOptions simd = scalar;
       simd.dense_kernel = "dense-avx2";
       simd.nm_kernel = "nm-avx2";
-      simd.dense_batch_kernel = "dense-batch-avx2";
-      simd.nm_batch_kernel = "nm-batch-avx2";
       kernel_sets.emplace_back("avx2", simd);
     }
   }

@@ -44,8 +44,6 @@ int main() {
   // bench/serving_throughput reports both kernel sets).
   opt.dense_kernel = "tiled-parallel";
   opt.nm_kernel = "row-parallel";
-  opt.dense_batch_kernel = "batch-packed";
-  opt.nm_batch_kernel = "batch-packed";
   const auto engine = rt::compile(net, configs, opt);
   const auto timings = engine.measure();
   const auto order = rt::conversion_order(timings);

@@ -3,7 +3,7 @@
 //
 // Each query is one GEMV-style right-hand side per layer; the batch
 // shares each layer's one DecompositionPlan across every item and runs
-// through the packed batch kernels, which amortize per-k-step overhead
+// packed through the parallel kernels, which amortize per-k-step overhead
 // over the whole batch — the queries/sec gain over batch-1 is the
 // serving story (DeepSparse-style CPU runtimes, 2:4 tensor-core serving).
 // The sweep runs once per kernel set — the pinned scalar kernels and,
@@ -22,7 +22,7 @@
 // docs/reproducing.md and docs/serving.md). Before timing, every
 // layer's batched TASD output is checked bit-exact (`==`) against
 // looping the single-RHS multiply of the same artifact — a
-// wrong-but-fast batch kernel fails loudly here (non-zero exit).
+// wrong-but-fast batched path fails loudly here (non-zero exit).
 //
 // Usage: serving_throughput [output.json] [--quick]
 #include <algorithm>
@@ -48,9 +48,9 @@ using namespace tasd;
 
 /// Batched outputs == per-RHS loops, for every layer of the compiled
 /// artifact at one probe batch size: run_batch vs run for the bound
-/// (TASD) kernels, plus the artifact's dense batch kernel vs its dense
-/// single-RHS kernel on the same weights (one rounding family per
-/// artifact — the policy carries the resolved kernel names).
+/// (TASD) kernels, plus the artifact's dense kernel batched vs per item
+/// on the same weights (one rounding family per artifact — the policy
+/// carries the resolved kernel names).
 bool verify_bit_exact(const rt::CompiledNetwork& engine, std::size_t batch,
                       Index query_cols) {
   Rng rng(7001);
@@ -225,8 +225,6 @@ int main(int argc, char** argv) {
     scalar.measure.repeats = quick ? 1 : 3;
     scalar.dense_kernel = "tiled-parallel";
     scalar.nm_kernel = "row-parallel";
-    scalar.dense_batch_kernel = "batch-packed";
-    scalar.nm_batch_kernel = "batch-packed";
     kernel_sets.emplace_back("scalar", scalar);
     // Gate on registry membership, not *_available(): a toolchain whose
     // compiler rejects -mavx2 builds no SIMD kernels even on capable
@@ -240,8 +238,6 @@ int main(int argc, char** argv) {
       rt::CompileOptions simd = scalar;
       simd.dense_kernel = "dense-avx2";
       simd.nm_kernel = "nm-avx2";
-      simd.dense_batch_kernel = "dense-batch-avx2";
-      simd.nm_batch_kernel = "nm-batch-avx2";
       kernel_sets.emplace_back("avx2", simd);
     }
   }

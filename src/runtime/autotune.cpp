@@ -63,11 +63,11 @@ TuningResult run_autotune(CompiledNetwork& net) {
     lt.layer = l.name;
     lt.nm = l.series.has_value();
 
-    // The tuning workloads mirror what the artifact will execute: the
-    // single-RHS slot at measure()'s shrunk width (the n_divisor story —
-    // both engines scale linearly in N, so the shrink preserves the
-    // ranking), the batch slot at autotune_batch_hint serving queries of
-    // query_cols width each.
+    // The two tuning workloads mirror what the artifact will execute:
+    // run() at measure()'s shrunk width (the n_divisor story — both
+    // engines scale linearly in N, so the shrink preserves the ranking),
+    // run_batch() at autotune_batch_hint serving queries of query_cols
+    // width each. Both draw their candidates from the layer's one slot.
     const Index n_single = measured_n(l.n, opt.n_divisor);
     const MatrixF b = random_dense(l.k, n_single, Dist::kNormalStd1, rng);
     std::vector<MatrixF> bs;
@@ -91,7 +91,7 @@ TuningResult run_autotune(CompiledNetwork& net) {
         return hook({l.name, name, lt.nm, true, l.m, l.k, opt.query_cols,
                      bs.size()});
       ExecPolicy p = base;
-      (lt.nm ? p.nm_batch_kernel : p.dense_batch_kernel) = name;
+      (lt.nm ? p.nm_kernel : p.dense_kernel) = name;
       return time_ms_min(opt.measure.repeats, [&] {
         const auto cs = lt.nm ? l.series->multiply_batch(bs, p)
                               : dense_gemm_batch(l.weight, bs, p);
@@ -100,11 +100,10 @@ TuningResult run_autotune(CompiledNetwork& net) {
     };
 
     for (const auto& name :
-         lt.nm ? dispatch.nm_kernels() : dispatch.dense_kernels())
+         lt.nm ? dispatch.nm_kernels() : dispatch.dense_kernels()) {
       lt.single.push_back({name, time_single(name)});
-    for (const auto& name : lt.nm ? dispatch.nm_batch_kernels()
-                                  : dispatch.dense_batch_kernels())
       lt.batch.push_back({name, time_batch(name)});
+    }
 
     lt.chosen_single = winner(lt.single).kernel;
     lt.chosen_batch = winner(lt.batch).kernel;
@@ -120,12 +119,6 @@ bool apply_tuning(CompiledNetwork& net, const TuningResult& tuning) {
   const auto& dispatch = GemmDispatch::instance();
   const auto dense_names = dispatch.dense_kernels();
   const auto nm_names = dispatch.nm_kernels();
-  const auto dense_batch_names = dispatch.dense_batch_kernels();
-  const auto nm_batch_names = dispatch.nm_batch_kernels();
-  const auto registered = [](const std::vector<std::string>& names,
-                             const std::string& name) {
-    return std::find(names.begin(), names.end(), name) != names.end();
-  };
 
   // All-or-nothing: validate every layer before touching any binding, so
   // a result that only half-transfers never leaves a mixed state.
@@ -134,9 +127,10 @@ bool apply_tuning(CompiledNetwork& net, const TuningResult& tuning) {
   for (const auto& l : net.layers_) {
     const LayerTuning* lt = tuning.find(l.name);
     if (lt == nullptr || lt->nm != l.series.has_value()) return false;
-    if (!registered(lt->nm ? nm_names : dense_names, lt->chosen_single) ||
-        !registered(lt->nm ? nm_batch_names : dense_batch_names,
-                    lt->chosen_batch))
+    const auto& names = lt->nm ? nm_names : dense_names;
+    if (std::find(names.begin(), names.end(), lt->chosen_single) ==
+            names.end() ||
+        std::find(names.begin(), names.end(), lt->chosen_batch) == names.end())
       return false;
     found.push_back(lt);
   }

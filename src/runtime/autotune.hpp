@@ -8,9 +8,10 @@
 //
 // When CompileOptions::kernel_policy == KernelPolicy::kAutotune,
 // assemble_network micro-benches every registered candidate of each
-// layer's slot pair (single-RHS at the measured width, batch at the
-// batch hint) on the compiling host — min-of-N with an untimed warmup
-// via time_ms_min — binds the per-layer winner, and records the full
+// layer's slot (dense or N:M) on two workloads — one right-hand side at
+// the measured width for run(), a batch at the batch hint for
+// run_batch() — on the compiling host, min-of-N with an untimed warmup
+// via time_ms_min; it binds the per-layer winners and records the full
 // TuningResult (candidate tables, timings, chosen names, host CPU
 // signature) on the CompiledNetwork. save_artifact serializes the
 // result into a TASDART1 tuning section; load_artifact restores the
@@ -42,11 +43,12 @@ struct TuneCandidate {
 
 /// Tuning record of one layer: the full candidate tables (so benches and
 /// artifacts can report *why* a kernel won, not just which) and the
-/// chosen names for the single-RHS and batch slots.
+/// chosen names for the single-RHS and batch workloads. Both tables list
+/// the same candidates, the layer's slot, timed on different workloads.
 struct LayerTuning {
   std::string layer;
-  bool nm = false;  ///< candidates come from the N:M slots (layer has a
-                    ///< bound series) rather than the dense slots
+  bool nm = false;  ///< candidates come from the N:M slot (layer has a
+                    ///< bound series) rather than the dense slot
   std::vector<TuneCandidate> single;
   std::vector<TuneCandidate> batch;
   std::string chosen_single;
@@ -70,9 +72,9 @@ struct TuneMeasurement {
   std::string layer;
   std::string kernel;
   bool nm = false;     ///< N:M slot (vs dense slot)
-  bool batch = false;  ///< batch slot (vs single-RHS slot)
+  bool batch = false;  ///< batch workload (vs single-RHS workload)
   Index m = 0, k = 0, n = 0;   ///< timed operand shape (n = RHS width)
-  std::size_t batch_items = 0;  ///< batch-slot item count (0 for single)
+  std::size_t batch_items = 0;  ///< batch item count (0 for single)
 };
 
 /// Measurement override: when set, autotune calls the hook instead of

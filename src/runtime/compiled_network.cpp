@@ -91,25 +91,6 @@ ExecPolicy CompiledNetwork::policy() const {
   p.pool = pool_.get();
   p.dense_kernel = opt_.dense_kernel;
   p.nm_kernel = opt_.nm_kernel;
-  p.dense_batch_kernel = opt_.dense_batch_kernel;
-  p.nm_batch_kernel = opt_.nm_batch_kernel;
-  return p;
-}
-
-ExecPolicy CompiledNetwork::layer_policy(std::size_t i) const {
-  const BoundLayer& l = layer(i);
-  ExecPolicy p = policy();
-  // Only the slot pair the layer executes is overridden: a configured
-  // layer runs its series through the N:M kernels, a dense layer runs
-  // dense_gemm. The other pair keeps the network-wide names (it is only
-  // reached by measure()'s explicit dense-vs-TASD comparison).
-  if (l.series) {
-    p.nm_kernel = l.kernel;
-    p.nm_batch_kernel = l.batch_kernel;
-  } else {
-    p.dense_kernel = l.kernel;
-    p.dense_batch_kernel = l.batch_kernel;
-  }
   return p;
 }
 
@@ -143,7 +124,10 @@ MatrixF CompiledNetwork::run(std::size_t layer_index,
   const BoundLayer& l = layer(layer_index);
   validate_input(layer_index, input);
   fault::inject("rt.run", l.name);
-  const ExecPolicy p = layer_policy(layer_index);
+  // Only the slot the layer executes takes its binding; the other keeps
+  // the network-wide name (reached only by measure()'s comparison).
+  ExecPolicy p = policy();
+  (l.series ? p.nm_kernel : p.dense_kernel) = l.kernel;
   return l.series ? l.series->multiply(input, p)
                   : dense_gemm(l.weight, input, p);
 }
@@ -154,7 +138,8 @@ std::vector<MatrixF> CompiledNetwork::run_batch(
   for (std::size_t i = 0; i < inputs.size(); ++i)
     validate_input(layer_index, inputs[i], i);
   fault::inject("rt.run_batch", l.name);
-  const ExecPolicy p = layer_policy(layer_index);
+  ExecPolicy p = policy();
+  (l.series ? p.nm_kernel : p.dense_kernel) = l.batch_kernel;
   return l.series ? l.series->multiply_batch(inputs, p)
                   : dense_gemm_batch(l.weight, inputs, p);
 }
@@ -297,6 +282,10 @@ CompiledNetwork assemble_network(std::string name,
                                  const TuningResult* restored) {
   TASD_CHECK_MSG(opt.n_divisor >= 1, "n_divisor must be >= 1");
   TASD_CHECK_MSG(opt.query_cols >= 1, "query_cols must be >= 1");
+  TASD_CHECK_MSG(opt.measure.repeats >= 1, "measure.repeats must be >= 1");
+  TASD_CHECK_MSG(opt.kernel_policy != KernelPolicy::kAutotune ||
+                     opt.autotune_batch_hint >= 1,
+                 "autotune_batch_hint must be >= 1 under kAutotune");
   // Kernel binding happens now, not at first execution: "auto" resolves
   // to the registry's best kernel (AVX2 when available, scalar
   // otherwise), and every selected name is looked up so a misspelled or
@@ -311,14 +300,8 @@ CompiledNetwork assemble_network(std::string name,
   cn.opt_ = opt;
   if (cn.opt_.dense_kernel == "auto") cn.opt_.dense_kernel = dispatch.best_dense();
   if (cn.opt_.nm_kernel == "auto") cn.opt_.nm_kernel = dispatch.best_nm();
-  if (cn.opt_.dense_batch_kernel == "auto")
-    cn.opt_.dense_batch_kernel = dispatch.best_dense_batch();
-  if (cn.opt_.nm_batch_kernel == "auto")
-    cn.opt_.nm_batch_kernel = dispatch.best_nm_batch();
   (void)dispatch.dense(cn.opt_.dense_kernel);
   (void)dispatch.nm(cn.opt_.nm_kernel);
-  (void)dispatch.dense_batch(cn.opt_.dense_batch_kernel);
-  (void)dispatch.nm_batch(cn.opt_.nm_batch_kernel);
   if (opt.measure.num_threads != 0)
     cn.pool_ = std::make_unique<ThreadPool>(opt.measure.num_threads);
   cn.layers_.reserve(layers.size());
@@ -360,8 +343,7 @@ CompiledNetwork assemble_network(std::string name,
     // Per-layer binding starts at the network-wide resolution; the
     // tuning paths below rebind it per layer.
     l.kernel = l.series ? cn.opt_.nm_kernel : cn.opt_.dense_kernel;
-    l.batch_kernel =
-        l.series ? cn.opt_.nm_batch_kernel : cn.opt_.dense_batch_kernel;
+    l.batch_kernel = l.kernel;
     cn.layers_.push_back(std::move(l));
   }
   // Binding priority: a restored tuning that transfers to this host

@@ -147,23 +147,22 @@ struct CompileOptions {
   /// Right-hand-side columns of one serving query (1 = GEMV-style
   /// serving, the latency-bound case batching amortizes).
   Index query_cols = 1;
-  /// Kernel selection by registry name. "auto" (the default) resolves at
+  /// Kernel selection by registry name, one per operand kind; each binds
+  /// both single-RHS and batch calls. "auto" (the default) resolves at
   /// compile() time through GemmDispatch::best_*() — the AVX2/FMA kernel
   /// when runtime detection registered it, the scalar tiled kernel
   /// otherwise — and the artifact's policy() reports the resolved name.
   /// Empty = the GemmDispatch registry defaults (always scalar).
   std::string dense_kernel = "auto";
   std::string nm_kernel = "auto";
-  std::string dense_batch_kernel = "auto";
-  std::string nm_batch_kernel = "auto";
   /// kAutotune measures candidates per layer and overrides the
-  /// network-wide names above with each layer's winner (the names still
+  /// network-wide names above with each layer's winners (the names still
   /// bind measure()'s dense-vs-TASD comparison and the tuning fallback).
   KernelPolicy kernel_policy = KernelPolicy::kStatic;
-  /// Batch-slot tuning workload: this many query_cols-wide right-hand
-  /// sides per timed batch call. Match it to the serving batch size the
-  /// artifact will see; 16 is the knee of the batching curve in
-  /// BENCH_serving.json.
+  /// Batch tuning workload: this many query_cols-wide right-hand sides
+  /// per timed batch call (must be >= 1 under kAutotune). Match it to the
+  /// serving batch size the artifact will see; 16 is the knee of the
+  /// batching curve in BENCH_serving.json.
   std::size_t autotune_batch_hint = 16;
   /// Opt-in activation guard: run()/run_batch() reject NaN/Inf inputs
   /// with a tasd::Error (kInvalidArgument) naming the offending batch
@@ -225,10 +224,11 @@ class CompiledNetwork {
     /// Bound structured kernel; engaged exactly when config is.
     std::optional<TasdSeriesGemm> series;
     double kept_nnz_fraction = 0.0;  ///< stored values / total positions
-    /// Per-layer kernel binding run()/run_batch() execute through: N:M
-    /// slot names when `series` is bound, dense slot names otherwise.
-    /// Initialized to the network-wide resolved names; kAutotune and a
-    /// restored artifact tuning rebind them per layer.
+    /// Per-layer kernel binding from the layer's one slot (N:M when
+    /// `series` is bound, dense otherwise): `kernel` for run(),
+    /// `batch_kernel` for run_batch(). Initialized to the network-wide
+    /// resolved name; kAutotune and a restored artifact tuning rebind
+    /// them per layer, each measured on its own workload.
     std::string kernel;
     std::string batch_kernel;
   };
@@ -268,14 +268,14 @@ class CompiledNetwork {
                       std::size_t item = static_cast<std::size_t>(-1)) const;
 
   /// Execute one layer on a dense right-hand side through its bound
-  /// kernel: the TASD series (TasdSeriesGemm::multiply) when configured,
-  /// the dense kernel otherwise. Bit-identical to those paths at every
-  /// thread count. `input` must have layer(i).k rows.
+  /// kernel (layer(i).kernel): the TASD series (TasdSeriesGemm::multiply)
+  /// when configured, the dense kernel otherwise. Bit-identical to those
+  /// paths at every thread count. `input` must have layer(i).k rows.
   [[nodiscard]] MatrixF run(std::size_t layer_index,
                             const MatrixF& input) const;
 
   /// Execute one layer on a batch of right-hand sides (ragged widths
-  /// allowed) through its bound batch kernel, sharing the layer's one
+  /// allowed) through layer(i).batch_kernel, sharing the layer's one
   /// plan across every item. Bit-identical to looping run() over the
   /// items, at every thread count and batch size.
   [[nodiscard]] std::vector<MatrixF> run_batch(
@@ -298,7 +298,7 @@ class CompiledNetwork {
   /// finishes layer L (one run_batch call) before any item starts layer
   /// L+1. This is the batched whole-network path; outputs are
   /// bit-identical to looping run_network() per item at every thread
-  /// count (the batch kernels' contract).
+  /// count (the kernels' batched-equals-looped contract).
   [[nodiscard]] std::vector<MatrixF> run_network_batch(
       std::span<const MatrixF> inputs) const;
 
@@ -315,14 +315,9 @@ class CompiledNetwork {
 
   /// The network-wide execution policy (the artifact's pool binding and
   /// resolved kernel-name options) — what measure() and the dense-vs-
-  /// TASD comparison paths run under. run()/run_batch() execute through
-  /// layer_policy(), which overlays the per-layer binding.
+  /// TASD comparison paths run under. run()/run_batch() overlay the
+  /// layer's own binding onto the slot it executes.
   [[nodiscard]] ExecPolicy policy() const;
-
-  /// policy() with layer i's own kernel/batch_kernel binding substituted
-  /// into the slot pair the layer executes (N:M when configured, dense
-  /// otherwise) — the exact policy run()/run_batch() pass to the kernels.
-  [[nodiscard]] ExecPolicy layer_policy(std::size_t i) const;
 
   /// The per-layer tuning record when this artifact was autotuned (at
   /// compile, or restored from a saved artifact); nullopt for static

@@ -7,16 +7,8 @@ namespace tasd::rt {
 MatrixF dense_gemm(const MatrixF& a, const MatrixF& b,
                    const ExecPolicy& policy) {
   MatrixF c(a.rows(), b.cols());
-  dense_gemm_accumulate(a, b, c, policy);
+  dense_gemm_batch_accumulate(a, {&b, 1}, {&c, 1}, policy);
   return c;
-}
-
-void dense_gemm_accumulate(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                           const ExecPolicy& policy) {
-  TASD_CHECK_MSG(a.cols() == b.rows(), "GEMM inner dim mismatch");
-  TASD_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
-  GemmDispatch::instance().dense(policy.dense_kernel)(a, b, c,
-                                                      resolve_pool(policy));
 }
 
 std::vector<MatrixF> dense_gemm_batch(const MatrixF& a,
@@ -35,12 +27,12 @@ void dense_gemm_batch_accumulate(const MatrixF& a, std::span<const MatrixF> bs,
   TASD_CHECK_MSG(bs.size() == cs.size(), "batch GEMM item count mismatch");
   for (std::size_t i = 0; i < bs.size(); ++i) {
     TASD_CHECK_MSG(a.cols() == bs[i].rows(),
-                   "batch GEMM inner dim mismatch at item " << i);
+                   "GEMM inner dim mismatch at item " << i);
     TASD_CHECK(cs[i].rows() == a.rows() && cs[i].cols() == bs[i].cols());
   }
   if (bs.empty()) return;
-  GemmDispatch::instance().dense_batch(policy.dense_batch_kernel)(
-      a, bs, cs, resolve_pool(policy));
+  GemmDispatch::instance().dense(policy.dense_kernel)(a, bs, cs,
+                                                      resolve_pool(policy));
 }
 
 }  // namespace tasd::rt

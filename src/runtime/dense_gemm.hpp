@@ -8,8 +8,8 @@
 //
 // Execution routes through the GemmDispatch kernel registry; pass an
 // ExecPolicy to pick a pool or kernel, or take the defaults (default
-// pool, tiled row-parallel kernel). Results are bit-identical at every
-// thread count.
+// pool, tiled parallel kernel). A single right-hand side runs as a
+// batch of one. Results are bit-identical at every thread count.
 #pragma once
 
 #include <span>
@@ -20,13 +20,9 @@
 
 namespace tasd::rt {
 
-/// C = A * B with no zero-skipping; A is MxK, B is KxN.
+/// C = A * B with no zero-skipping; A is MxK, B is KxN. A batch of one.
 MatrixF dense_gemm(const MatrixF& a, const MatrixF& b,
                    const ExecPolicy& policy = {});
-
-/// C += A * B into a preallocated accumulator.
-void dense_gemm_accumulate(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                           const ExecPolicy& policy = {});
 
 /// cs[i] = A * bs[i] for a batch of right-hand sides (ragged widths
 /// allowed; every bs[i] must have A.cols() rows). Bit-identical to

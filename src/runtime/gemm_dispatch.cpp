@@ -1,7 +1,9 @@
 #include "runtime/gemm_dispatch.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <string_view>
 
 #include "common/cpu_features.hpp"
 #include "common/error.hpp"
@@ -18,7 +20,7 @@ ThreadPool& resolve_pool(const ExecPolicy& policy) {
   return policy.pool ? *policy.pool : default_pool();
 }
 
-// ------------------------------------------------------ row-range cores
+// ------------------------------------------------------------ tile cores
 
 void dense_gemm_tile(const MatrixF& a, const MatrixF& b, MatrixF& c,
                      Index row_begin, Index row_end, Index col_begin,
@@ -77,39 +79,24 @@ void nm_gemm_tile(const sparse::NMSparseMatrix& a, const MatrixF& b,
   }
 }
 
-void dense_gemm_rows(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                     Index row_begin, Index row_end) {
-  dense_gemm_tile(a, b, c, row_begin, row_end, 0, b.cols());
-}
-
-void nm_gemm_rows(const sparse::NMSparseMatrix& a, const MatrixF& b,
-                  MatrixF& c, Index row_begin, Index row_end) {
-  nm_gemm_tile(a, b, c, row_begin, row_end, 0, b.cols());
-}
-
 // ------------------------------------------------------------- registry
 
 struct GemmDispatch::Impl {
   mutable Mutex mutex;
-  std::map<std::string, DenseKernel> dense TASD_GUARDED_BY(mutex);
-  std::map<std::string, NmKernel> nm TASD_GUARDED_BY(mutex);
-  std::map<std::string, DenseBatchKernel> dense_batch TASD_GUARDED_BY(mutex);
-  std::map<std::string, NmBatchKernel> nm_batch TASD_GUARDED_BY(mutex);
-  std::string default_dense TASD_GUARDED_BY(mutex);
-  std::string default_nm TASD_GUARDED_BY(mutex);
-  std::string default_dense_batch TASD_GUARDED_BY(mutex);
-  std::string default_nm_batch TASD_GUARDED_BY(mutex);
+  // Transparent comparators: lookups by string_view copy no name.
+  std::map<std::string, DenseKernel, std::less<>> dense TASD_GUARDED_BY(mutex);
+  std::map<std::string, NmKernel, std::less<>> nm TASD_GUARDED_BY(mutex);
 };
 
 // ------------------------------------------------- packed batch layout
-// The packed batch kernels lay the batch items' columns side by side in
-// one wide matrix: packed(r, off[i] + j) == item_i(r, j). Packing and
+// The parallel kernels lay the batch items' columns side by side in one
+// wide matrix: packed(r, off[i] + j) == item_i(r, j). Packing and
 // unpacking are exact copies, and both GEMM tile cores accumulate each
 // output element with a fixed k-ascending MAC order regardless of the
 // column range, so running the cores on the packed pair is bit-identical
-// to looping the single-RHS kernel over the items — while the inner j
-// loops span the whole batch, amortizing per-k-step overhead (the whole
-// point of the serving path on small per-query widths).
+// to looping the kernel over one-item batches — while the inner j loops
+// span the whole batch, amortizing per-k-step overhead (the whole point
+// of the serving path on small per-query widths).
 
 std::vector<Index> batch_offsets(std::span<const MatrixF> items) {
   std::vector<Index> off(items.size() + 1, 0);
@@ -147,13 +134,13 @@ namespace {
 // the win; partitioning stays deterministic either way.
 constexpr std::size_t kRowGrain = 8;
 
-// Batch-column grain for the packed batch kernels: wide enough that the
-// shared A-element loads of one k-step amortize over the tile's columns,
-// small enough that a short-m batch still fans out over the pool.
+// Column grain of the tile grid: wide enough that the shared A-element
+// loads of one k-step amortize over the tile's columns, small enough
+// that a short-m call still fans out over the pool.
 constexpr Index kBatchColGrain = 128;
 
 /// Run `tile(b, c, r0, r1, c0, c1)` over a deterministic (row-chunk,
-/// batch-column-chunk) grid covering rows x [0, b.cols()).
+/// column-chunk) grid covering rows x [0, b.cols()).
 void run_tile_grid(ThreadPool& pool, Index rows, const MatrixF& b, MatrixF& c,
                    const PackedTileFn& tile) {
   const Index total_cols = b.cols();
@@ -171,35 +158,8 @@ void run_tile_grid(ThreadPool& pool, Index rows, const MatrixF& b, MatrixF& c,
   });
 }
 
-void dense_tiled_parallel(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                          ThreadPool& pool) {
-  pool.parallel_for(0, a.rows(), kRowGrain,
-                    [&](Index r0, Index r1) { dense_gemm_rows(a, b, c, r0, r1); });
-}
-
-void dense_tiled_serial(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                        ThreadPool& /*pool*/) {
-  dense_gemm_rows(a, b, c, 0, a.rows());
-}
-
-void dense_reference(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                     ThreadPool& /*pool*/) {
-  gemm_ref_accumulate(a, b, c);
-}
-
-void nm_row_parallel(const sparse::NMSparseMatrix& a, const MatrixF& b,
-                     MatrixF& c, ThreadPool& pool) {
-  pool.parallel_for(0, a.rows(), kRowGrain,
-                    [&](Index r0, Index r1) { nm_gemm_rows(a, b, c, r0, r1); });
-}
-
-void nm_serial(const sparse::NMSparseMatrix& a, const MatrixF& b, MatrixF& c,
-               ThreadPool& /*pool*/) {
-  nm_gemm_rows(a, b, c, 0, a.rows());
-}
-
-void dense_batch_packed(const MatrixF& a, std::span<const MatrixF> bs,
-                        std::span<MatrixF> cs, ThreadPool& pool) {
+void dense_tiled_parallel(const MatrixF& a, std::span<const MatrixF> bs,
+                          std::span<MatrixF> cs, ThreadPool& pool) {
   run_packed_batch(a.rows(), bs, cs, pool,
                    [&a](const MatrixF& b, MatrixF& c, Index r0, Index r1,
                         Index c0, Index c1) {
@@ -207,13 +167,19 @@ void dense_batch_packed(const MatrixF& a, std::span<const MatrixF> bs,
                    });
 }
 
-void dense_batch_loop(const MatrixF& a, std::span<const MatrixF> bs,
-                      std::span<MatrixF> cs, ThreadPool& /*pool*/) {
+void dense_tiled_serial(const MatrixF& a, std::span<const MatrixF> bs,
+                        std::span<MatrixF> cs, ThreadPool& /*pool*/) {
   for (std::size_t i = 0; i < bs.size(); ++i)
-    dense_gemm_rows(a, bs[i], cs[i], 0, a.rows());
+    dense_gemm_tile(a, bs[i], cs[i], 0, a.rows(), 0, bs[i].cols());
 }
 
-void nm_batch_packed(const sparse::NMSparseMatrix& a,
+void dense_reference(const MatrixF& a, std::span<const MatrixF> bs,
+                     std::span<MatrixF> cs, ThreadPool& /*pool*/) {
+  for (std::size_t i = 0; i < bs.size(); ++i)
+    gemm_ref_accumulate(a, bs[i], cs[i]);
+}
+
+void nm_row_parallel(const sparse::NMSparseMatrix& a,
                      std::span<const MatrixF> bs, std::span<MatrixF> cs,
                      ThreadPool& pool) {
   run_packed_batch(a.rows(), bs, cs, pool,
@@ -223,11 +189,10 @@ void nm_batch_packed(const sparse::NMSparseMatrix& a,
                    });
 }
 
-void nm_batch_loop(const sparse::NMSparseMatrix& a,
-                   std::span<const MatrixF> bs, std::span<MatrixF> cs,
-                   ThreadPool& /*pool*/) {
+void nm_serial(const sparse::NMSparseMatrix& a, std::span<const MatrixF> bs,
+               std::span<MatrixF> cs, ThreadPool& /*pool*/) {
   for (std::size_t i = 0; i < bs.size(); ++i)
-    nm_gemm_rows(a, bs[i], cs[i], 0, a.rows());
+    nm_gemm_tile(a, bs[i], cs[i], 0, a.rows(), 0, bs[i].cols());
 }
 
 }  // namespace
@@ -247,28 +212,24 @@ void run_packed_batch(Index rows, std::span<const MatrixF> bs,
   unpack_batch(cp, off, cs);
 }
 
+// The scalar defaults: what "" names, and best_*() without AVX2.
+constexpr std::string_view kDefaultDense = "tiled-parallel";
+constexpr std::string_view kDefaultNm = "row-parallel";
+
 GemmDispatch::GemmDispatch() : impl_(new Impl) {
   {
     // Scoped: register_avx2_kernels below re-enters through the public
     // registration methods, which take the lock themselves.
     MutexLock lock(impl_->mutex);
-    impl_->dense["tiled-parallel"] = dense_tiled_parallel;
+    impl_->dense[std::string(kDefaultDense)] = dense_tiled_parallel;
     impl_->dense["tiled-serial"] = dense_tiled_serial;
     impl_->dense["reference"] = dense_reference;
-    impl_->default_dense = "tiled-parallel";
-    impl_->nm["row-parallel"] = nm_row_parallel;
+    impl_->nm[std::string(kDefaultNm)] = nm_row_parallel;
     impl_->nm["serial"] = nm_serial;
-    impl_->default_nm = "row-parallel";
-    impl_->dense_batch["batch-packed"] = dense_batch_packed;
-    impl_->dense_batch["batch-loop"] = dense_batch_loop;
-    impl_->default_dense_batch = "batch-packed";
-    impl_->nm_batch["batch-packed"] = nm_batch_packed;
-    impl_->nm_batch["batch-loop"] = nm_batch_loop;
-    impl_->default_nm_batch = "batch-packed";
   }
 #ifdef TASD_HAVE_AVX2_KERNELS
-  // Runtime-gated SIMD backends: registered only when the executing
-  // CPU/OS can run them (and the TASD_DISABLE_* escape hatch is unset).
+  // Runtime-gated SIMD backend: registered only when the executing
+  // CPU/OS can run it (and the TASD_DISABLE_AVX2 escape hatch is unset).
   // Defaults stay scalar; best_*() prefers these names when present.
   if (avx2_available()) register_avx2_kernels(*this);
 #endif
@@ -292,48 +253,6 @@ void GemmDispatch::register_nm(const std::string& name, NmKernel kernel) {
   impl_->nm[name] = std::move(kernel);
 }
 
-void GemmDispatch::register_dense_batch(const std::string& name,
-                                        DenseBatchKernel kernel) {
-  TASD_CHECK_MSG(!name.empty(), "kernel name must be non-empty");
-  MutexLock lock(impl_->mutex);
-  impl_->dense_batch[name] = std::move(kernel);
-}
-
-void GemmDispatch::register_nm_batch(const std::string& name,
-                                     NmBatchKernel kernel) {
-  TASD_CHECK_MSG(!name.empty(), "kernel name must be non-empty");
-  MutexLock lock(impl_->mutex);
-  impl_->nm_batch[name] = std::move(kernel);
-}
-
-void GemmDispatch::set_default_dense(const std::string& name) {
-  MutexLock lock(impl_->mutex);
-  TASD_CHECK_MSG(impl_->dense.contains(name),
-                 "unknown dense kernel '" << name << "'");
-  impl_->default_dense = name;
-}
-
-void GemmDispatch::set_default_nm(const std::string& name) {
-  MutexLock lock(impl_->mutex);
-  TASD_CHECK_MSG(impl_->nm.contains(name),
-                 "unknown N:M kernel '" << name << "'");
-  impl_->default_nm = name;
-}
-
-void GemmDispatch::set_default_dense_batch(const std::string& name) {
-  MutexLock lock(impl_->mutex);
-  TASD_CHECK_MSG(impl_->dense_batch.contains(name),
-                 "unknown dense batch kernel '" << name << "'");
-  impl_->default_dense_batch = name;
-}
-
-void GemmDispatch::set_default_nm_batch(const std::string& name) {
-  MutexLock lock(impl_->mutex);
-  TASD_CHECK_MSG(impl_->nm_batch.contains(name),
-                 "unknown N:M batch kernel '" << name << "'");
-  impl_->default_nm_batch = name;
-}
-
 std::vector<std::string> GemmDispatch::dense_kernels() const {
   MutexLock lock(impl_->mutex);
   std::vector<std::string> names;
@@ -350,103 +269,35 @@ std::vector<std::string> GemmDispatch::nm_kernels() const {
   return names;
 }
 
-std::vector<std::string> GemmDispatch::dense_batch_kernels() const {
-  MutexLock lock(impl_->mutex);
-  std::vector<std::string> names;
-  names.reserve(impl_->dense_batch.size());
-  for (const auto& [name, _] : impl_->dense_batch) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> GemmDispatch::nm_batch_kernels() const {
-  MutexLock lock(impl_->mutex);
-  std::vector<std::string> names;
-  names.reserve(impl_->nm_batch.size());
-  for (const auto& [name, _] : impl_->nm_batch) names.push_back(name);
-  return names;
-}
-
-std::string GemmDispatch::default_dense() const {
-  MutexLock lock(impl_->mutex);
-  return impl_->default_dense;
-}
-
-std::string GemmDispatch::default_nm() const {
-  MutexLock lock(impl_->mutex);
-  return impl_->default_nm;
-}
-
-std::string GemmDispatch::default_dense_batch() const {
-  MutexLock lock(impl_->mutex);
-  return impl_->default_dense_batch;
-}
-
-std::string GemmDispatch::default_nm_batch() const {
-  MutexLock lock(impl_->mutex);
-  return impl_->default_nm_batch;
-}
-
 // The static fallback chain: the AVX2 family when registered, the
-// scalar registry default otherwise. Per-layer autotuning
-// (runtime/autotune.hpp) refines this by measurement; these remain the
-// kStatic binding and the tuning fallback on a host-signature mismatch.
+// scalar default otherwise. Per-layer autotuning (runtime/autotune.hpp)
+// refines this by measurement; these remain the kStatic binding and the
+// tuning fallback on a host-signature mismatch.
 std::string GemmDispatch::best_dense() const {
   MutexLock lock(impl_->mutex);
-  if (impl_->dense.contains("dense-avx2")) return "dense-avx2";
-  return impl_->default_dense;
+  return std::string(impl_->dense.contains("dense-avx2") ? "dense-avx2"
+                                                          : kDefaultDense);
 }
 
 std::string GemmDispatch::best_nm() const {
   MutexLock lock(impl_->mutex);
-  if (impl_->nm.contains("nm-avx2")) return "nm-avx2";
-  return impl_->default_nm;
-}
-
-std::string GemmDispatch::best_dense_batch() const {
-  MutexLock lock(impl_->mutex);
-  if (impl_->dense_batch.contains("dense-batch-avx2")) return "dense-batch-avx2";
-  return impl_->default_dense_batch;
-}
-
-std::string GemmDispatch::best_nm_batch() const {
-  MutexLock lock(impl_->mutex);
-  if (impl_->nm_batch.contains("nm-batch-avx2")) return "nm-batch-avx2";
-  return impl_->default_nm_batch;
+  return std::string(impl_->nm.contains("nm-avx2") ? "nm-avx2" : kDefaultNm);
 }
 
 DenseKernel GemmDispatch::dense(const std::string& name) const {
   MutexLock lock(impl_->mutex);
-  const std::string& key = name.empty() ? impl_->default_dense : name;
-  const auto it = impl_->dense.find(key);
+  const auto it =
+      impl_->dense.find(name.empty() ? kDefaultDense : std::string_view(name));
   TASD_CHECK_MSG(it != impl_->dense.end(),
-                 "unknown dense kernel '" << key << "'");
+                 "unknown dense kernel '" << name << "'");
   return it->second;
 }
 
 NmKernel GemmDispatch::nm(const std::string& name) const {
   MutexLock lock(impl_->mutex);
-  const std::string& key = name.empty() ? impl_->default_nm : name;
-  const auto it = impl_->nm.find(key);
-  TASD_CHECK_MSG(it != impl_->nm.end(),
-                 "unknown N:M kernel '" << key << "'");
-  return it->second;
-}
-
-DenseBatchKernel GemmDispatch::dense_batch(const std::string& name) const {
-  MutexLock lock(impl_->mutex);
-  const std::string& key = name.empty() ? impl_->default_dense_batch : name;
-  const auto it = impl_->dense_batch.find(key);
-  TASD_CHECK_MSG(it != impl_->dense_batch.end(),
-                 "unknown dense batch kernel '" << key << "'");
-  return it->second;
-}
-
-NmBatchKernel GemmDispatch::nm_batch(const std::string& name) const {
-  MutexLock lock(impl_->mutex);
-  const std::string& key = name.empty() ? impl_->default_nm_batch : name;
-  const auto it = impl_->nm_batch.find(key);
-  TASD_CHECK_MSG(it != impl_->nm_batch.end(),
-                 "unknown N:M batch kernel '" << key << "'");
+  const auto it =
+      impl_->nm.find(name.empty() ? kDefaultNm : std::string_view(name));
+  TASD_CHECK_MSG(it != impl_->nm.end(), "unknown N:M kernel '" << name << "'");
   return it->second;
 }
 

@@ -1,10 +1,8 @@
 // AVX2/FMA vectorized GEMM kernels — the SIMD backend of GemmDispatch.
 //
 // Registered names (see docs/kernels.md for the author guide):
-//   dense       "dense-avx2"        row-parallel, 8-lane FMA over columns
-//   N:M         "nm-avx2"           compressed traversal, 8-lane FMA
-//   dense batch "dense-batch-avx2"  packed (row, batch-column) tile grid
-//   N:M batch   "nm-batch-avx2"     same grid over the compressed core
+//   dense  "dense-avx2"  (row, column) tile grid, 8-lane FMA over columns
+//   N:M    "nm-avx2"     same grid over the compressed traversal
 //
 // Bit-exactness model: every output element accumulates along a single
 // k-ascending (dense) / stored-value-ascending (N:M) chain of *fused*
@@ -13,7 +11,7 @@
 // therefore a pure function of the operands, independent of thread count,
 // tile shape, column offset, and batch packing: each AVX2 kernel is
 // bit-identical to its own serial run and a batched call is bit-identical
-// to looping its single-RHS sibling. The FMA chain rounds differently
+// to looping it over one-item batches. The FMA chain rounds differently
 // from the scalar mul+add kernels ("tiled-parallel" etc.), so AVX2 and
 // scalar kernels form two internally-consistent families that agree to
 // float tolerance, not bitwise (the property tests pin both claims).
@@ -40,7 +38,7 @@ void nm_gemm_tile_avx2(const sparse::NMSparseMatrix& a, const MatrixF& b,
                        MatrixF& c, Index row_begin, Index row_end,
                        Index col_begin, Index col_end);
 
-/// Register all four AVX2 kernels under their names. Called once by
+/// Register both AVX2 kernels under their names. Called once by
 /// GemmDispatch's constructor when avx2_available(); never changes the
 /// registry defaults.
 void register_avx2_kernels(GemmDispatch& dispatch);

@@ -7,16 +7,8 @@ namespace tasd::rt {
 MatrixF nm_gemm(const sparse::NMSparseMatrix& a, const MatrixF& b,
                 const ExecPolicy& policy) {
   MatrixF c(a.rows(), b.cols());
-  nm_gemm_accumulate(a, b, c, policy);
+  nm_gemm_batch_accumulate(a, {&b, 1}, {&c, 1}, policy);
   return c;
-}
-
-void nm_gemm_accumulate(const sparse::NMSparseMatrix& a, const MatrixF& b,
-                        MatrixF& c, const ExecPolicy& policy) {
-  TASD_CHECK_MSG(a.cols() == b.rows(), "N:M GEMM inner dim mismatch");
-  TASD_CHECK(c.rows() == a.rows() && c.cols() == b.cols());
-  GemmDispatch::instance().nm(policy.nm_kernel)(a, b, c,
-                                                resolve_pool(policy));
 }
 
 std::vector<MatrixF> nm_gemm_batch(const sparse::NMSparseMatrix& a,
@@ -36,12 +28,12 @@ void nm_gemm_batch_accumulate(const sparse::NMSparseMatrix& a,
   TASD_CHECK_MSG(bs.size() == cs.size(), "batch GEMM item count mismatch");
   for (std::size_t i = 0; i < bs.size(); ++i) {
     TASD_CHECK_MSG(a.cols() == bs[i].rows(),
-                   "N:M batch GEMM inner dim mismatch at item " << i);
+                   "N:M GEMM inner dim mismatch at item " << i);
     TASD_CHECK(cs[i].rows() == a.rows() && cs[i].cols() == bs[i].cols());
   }
   if (bs.empty()) return;
-  GemmDispatch::instance().nm_batch(policy.nm_batch_kernel)(
-      a, bs, cs, resolve_pool(policy));
+  GemmDispatch::instance().nm(policy.nm_kernel)(a, bs, cs,
+                                                resolve_pool(policy));
 }
 
 TasdSeriesGemm::TasdSeriesGemm(const Decomposition& decomposition)
@@ -62,14 +54,7 @@ MatrixF TasdSeriesGemm::multiply(const MatrixF& b,
                      << rows_ << "x" << cols_ << ", so b needs " << cols_
                      << " rows, got " << b.rows() << "x" << b.cols());
   MatrixF c(rows_, b.cols());
-  // Term-major through the registry so kernel selection (policy or
-  // set_default_nm) applies to the series path too. Per output element
-  // the accumulation order is terms in series order, k ascending within
-  // a term — identical at every thread count and for every row-partition
-  // kernel.
-  const NmKernel kernel = GemmDispatch::instance().nm(policy.nm_kernel);
-  ThreadPool& pool = resolve_pool(policy);
-  for (const auto& t : terms()) kernel(t, b, c, pool);
+  accumulate({&b, 1}, {&c, 1}, policy);
   return c;
 }
 
@@ -86,23 +71,32 @@ std::vector<MatrixF> TasdSeriesGemm::multiply_batch(
     cs.emplace_back(rows_, bs[i].cols());
   }
   if (bs.empty()) return cs;
+  if (bs.size() == 1) {  // one contiguous RHS already: no pack/unpack
+    accumulate(bs, cs, policy);
+    return cs;
+  }
   // Pack the batch once and run every term against the packed pair as a
-  // single-item batch (re-packing per term would waste copies on the
-  // serving hot path). Term-major: per output element the accumulation
-  // order is terms in series order, k ascending within a term — exactly
-  // multiply()'s order — and the tile cores' per-element order does not
-  // depend on column position, so the batch is bit-identical to a
-  // per-item loop.
-  const NmBatchKernel kernel =
-      GemmDispatch::instance().nm_batch(policy.nm_batch_kernel);
-  ThreadPool& pool = resolve_pool(policy);
+  // batch of one (re-packing per term would waste copies on the serving
+  // hot path).
   const auto off = batch_offsets(bs);
   if (off.back() == 0) return cs;
   const MatrixF bp = pack_batch(bs, off);
   MatrixF cp(rows_, off.back());
-  for (const auto& t : terms()) kernel(t, {&bp, 1}, {&cp, 1}, pool);
+  accumulate({&bp, 1}, {&cp, 1}, policy);
   unpack_batch(cp, off, cs);
   return cs;
+}
+
+void TasdSeriesGemm::accumulate(std::span<const MatrixF> bs,
+                                std::span<MatrixF> cs,
+                                const ExecPolicy& policy) const {
+  // Term-major: per output element the accumulation order is terms in
+  // series order, k ascending within a term, and the kernels' per-element
+  // order does not depend on column position or thread count — so one
+  // item, a packed batch and a per-item loop all produce the same bits.
+  const NmKernel kernel = GemmDispatch::instance().nm(policy.nm_kernel);
+  ThreadPool& pool = resolve_pool(policy);
+  for (const auto& t : terms()) kernel(t, bs, cs, pool);
 }
 
 Index TasdSeriesGemm::nnz() const {

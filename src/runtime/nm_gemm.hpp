@@ -3,8 +3,9 @@
 // 2:4-compressed operand does half the work of the dense kernel through
 // the same inner loop.
 //
-// Execution routes through the GemmDispatch kernel registry (row-parallel
-// by default, bit-identical at every thread count). TASD series can run
+// Execution routes through the GemmDispatch kernel registry (the
+// parallel tile grid by default, bit-identical at every thread count); a
+// single right-hand side runs as a batch of one. TASD series can run
 // from a cached DecompositionPlan so the weights are decomposed and
 // compressed exactly once.
 #pragma once
@@ -21,13 +22,9 @@
 
 namespace tasd::rt {
 
-/// C = A_compressed * B.
+/// C = A_compressed * B. A batch of one.
 MatrixF nm_gemm(const sparse::NMSparseMatrix& a, const MatrixF& b,
                 const ExecPolicy& policy = {});
-
-/// C += A_compressed * B.
-void nm_gemm_accumulate(const sparse::NMSparseMatrix& a, const MatrixF& b,
-                        MatrixF& c, const ExecPolicy& policy = {});
 
 /// cs[i] = A_compressed * bs[i] for a batch of right-hand sides (ragged
 /// widths allowed). Bit-identical to calling nm_gemm per item, at every
@@ -53,17 +50,17 @@ class TasdSeriesGemm {
   /// no copy, no re-decomposition).
   explicit TasdSeriesGemm(std::shared_ptr<const DecompositionPlan> plan);
 
-  /// Execute against a dense right-hand side. Row-parallel: each output
-  /// row accumulates its terms in series order, matching the serial
-  /// term-major loop bit-for-bit.
+  /// Execute against one dense right-hand side: a batch of one. Each
+  /// output element accumulates its terms in series order, matching the
+  /// serial term-major loop bit-for-bit.
   [[nodiscard]] MatrixF multiply(const MatrixF& b,
                                  const ExecPolicy& policy = {}) const;
 
   /// Execute against a batch of dense right-hand sides (ragged widths
   /// allowed), sharing this series' one decomposition plan across every
-  /// item. Each term runs through the registry's batch kernel, which
-  /// partitions (output-row, batch-column) tiles over the pool; output
-  /// is bit-identical to calling multiply() per item — the serving-path
+  /// item. Each term runs through the policy's N:M kernel, which
+  /// partitions (output-row, column) tiles over the pool; output is
+  /// bit-identical to calling multiply() per item — the serving-path
   /// invariant — at every thread count and batch size.
   [[nodiscard]] std::vector<MatrixF> multiply_batch(
       std::span<const MatrixF> bs, const ExecPolicy& policy = {}) const;
@@ -79,6 +76,10 @@ class TasdSeriesGemm {
   [[nodiscard]] const std::vector<sparse::NMSparseMatrix>& terms() const {
     return plan_ ? plan_->terms : owned_terms_;
   }
+
+  /// cs[i] += Σ_t term_t * bs[i], term-major through the policy's kernel.
+  void accumulate(std::span<const MatrixF> bs, std::span<MatrixF> cs,
+                  const ExecPolicy& policy) const;
 
   Index rows_ = 0;
   Index cols_ = 0;

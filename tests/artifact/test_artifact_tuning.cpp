@@ -71,14 +71,11 @@ std::vector<std::optional<TasdConfig>> small_configs() {
 }
 
 /// Deterministic non-default winners, so "binding restored" is
-/// distinguishable from "binding re-resolved": serial/batch-loop are
+/// distinguishable from "binding re-resolved": the serial kernels are
 /// never what best_*() picks.
 TuneTimer slow_is_fast() {
   return [](const TuneMeasurement& m) {
-    return m.kernel == (m.batch ? "batch-loop"
-                                : (m.nm ? "serial" : "tiled-serial"))
-               ? 1.0
-               : 9.0;
+    return m.kernel == (m.nm ? "serial" : "tiled-serial") ? 1.0 : 9.0;
   };
 }
 
@@ -175,8 +172,7 @@ TEST(ArtifactTuning, ForeignHostSignatureFallsBackToReResolution) {
     EXPECT_EQ(loaded.layer(i).kernel,
               nm ? dispatch.best_nm() : dispatch.best_dense())
         << "stale foreign binding on layer " << i;
-    EXPECT_EQ(loaded.layer(i).batch_kernel,
-              nm ? dispatch.best_nm_batch() : dispatch.best_dense_batch());
+    EXPECT_EQ(loaded.layer(i).batch_kernel, loaded.layer(i).kernel);
   }
 }
 

@@ -61,16 +61,14 @@ bool contains(const std::vector<std::string>& names, const std::string& n) {
 }
 
 TEST(Autotune, FixedFakeTimingsYieldAFixedBinding) {
-  // The fake timer prefers a different kernel on each layer: the nm
-  // layer "a" gets "serial"/"batch-loop", the dense layer "b" gets
-  // "tiled-serial"/"batch-loop" — deliberately NOT the static best_*()
-  // picks, so a pass proves the injected measurements (and nothing
-  // else) drove the binding.
+  // The fake timer prefers a different kernel on each layer and, on the
+  // dense layer, on each workload: the nm layer "a" gets "serial" for
+  // both, the dense layer "b" gets "tiled-serial" single and "reference"
+  // batch — deliberately NOT the static best_*() picks, so a pass proves
+  // the injected measurements (and nothing else) drove the binding.
   const TimerGuard guard([](const TuneMeasurement& m) {
-    if (m.layer == "a") return m.kernel == (m.batch ? "batch-loop" : "serial")
-                                   ? 1.0
-                                   : 9.0;
-    return m.kernel == (m.batch ? "batch-loop" : "tiled-serial") ? 1.0 : 9.0;
+    if (m.layer == "a") return m.kernel == "serial" ? 1.0 : 9.0;
+    return m.kernel == (m.batch ? "reference" : "tiled-serial") ? 1.0 : 9.0;
   });
   for (int round = 0; round < 2; ++round) {
     const auto engine = compile(two_layer_net(), mixed_configs(),
@@ -80,24 +78,26 @@ TEST(Autotune, FixedFakeTimingsYieldAFixedBinding) {
     EXPECT_EQ(t.host_signature, cpu_signature());
     ASSERT_EQ(t.layers.size(), 2U);
     EXPECT_EQ(t.find("a")->chosen_single, "serial");
-    EXPECT_EQ(t.find("a")->chosen_batch, "batch-loop");
+    EXPECT_EQ(t.find("a")->chosen_batch, "serial");
     EXPECT_EQ(t.find("b")->chosen_single, "tiled-serial");
-    EXPECT_EQ(t.find("b")->chosen_batch, "batch-loop");
-    // The binding is per layer: layer_policy() overlays the chosen name
-    // on the right slot of the network-wide policy.
-    EXPECT_EQ(engine.layer_policy(0).nm_kernel, "serial");
-    EXPECT_EQ(engine.layer_policy(0).nm_batch_kernel, "batch-loop");
-    EXPECT_EQ(engine.layer_policy(1).dense_kernel, "tiled-serial");
-    EXPECT_EQ(engine.layer_policy(1).dense_batch_kernel, "batch-loop");
-    // Every candidate table covers the whole registry and records the
+    EXPECT_EQ(t.find("b")->chosen_batch, "reference");
+    // The binding is per layer and per workload.
+    EXPECT_EQ(engine.layer(0).kernel, "serial");
+    EXPECT_EQ(engine.layer(0).batch_kernel, "serial");
+    EXPECT_EQ(engine.layer(1).kernel, "tiled-serial");
+    EXPECT_EQ(engine.layer(1).batch_kernel, "reference");
+    // Both candidate tables cover the layer's whole slot and record the
     // injected timings verbatim.
     for (const LayerTuning& lt : t.layers) {
-      EXPECT_EQ(lt.single.size(),
-                (lt.nm ? GemmDispatch::instance().nm_kernels()
-                       : GemmDispatch::instance().dense_kernels())
-                    .size());
-      for (const TuneCandidate& c : lt.single)
-        EXPECT_TRUE(c.ms == 1.0 || c.ms == 9.0) << c.kernel;
+      const auto names = lt.nm ? GemmDispatch::instance().nm_kernels()
+                               : GemmDispatch::instance().dense_kernels();
+      for (const auto* table : {&lt.single, &lt.batch}) {
+        ASSERT_EQ(table->size(), names.size());
+        for (std::size_t i = 0; i < names.size(); ++i) {
+          EXPECT_EQ((*table)[i].kernel, names[i]);
+          EXPECT_TRUE((*table)[i].ms == 1.0 || (*table)[i].ms == 9.0);
+        }
+      }
     }
   }
 }
@@ -114,24 +114,19 @@ TEST(Autotune, PerLayerWinnersDivergeWhenTimingsDo) {
     return fast ? 0.5 : 2.0;
   });
   const auto engine = compile(net, both_dense, autotune_opt());
-  EXPECT_EQ(engine.layer_policy(0).dense_kernel, "tiled-serial");
-  EXPECT_EQ(engine.layer_policy(1).dense_kernel, "reference");
+  EXPECT_EQ(engine.layer(0).kernel, "tiled-serial");
+  EXPECT_EQ(engine.layer(1).kernel, "reference");
 }
 
 TEST(Autotune, TunedRunMatchesTheStaticallyPinnedKernelBitwise) {
   const auto net = two_layer_net();
   const TimerGuard guard([](const TuneMeasurement& m) {
-    return m.kernel == (m.nm ? "serial" : "tiled-serial") ||
-                   m.kernel == "batch-loop"
-               ? 1.0
-               : 9.0;
+    return m.kernel == (m.nm ? "serial" : "tiled-serial") ? 1.0 : 9.0;
   });
   const auto tuned = compile(net, mixed_configs(), autotune_opt());
   CompileOptions pin;
   pin.nm_kernel = "serial";
   pin.dense_kernel = "tiled-serial";
-  pin.nm_batch_kernel = "batch-loop";
-  pin.dense_batch_kernel = "batch-loop";
   const auto pinned = compile(net, mixed_configs(), pin);
   Rng rng(7600);
   const MatrixF b = random_dense(net.layers[0].k, 9, Dist::kNormalStd1, rng);
@@ -173,9 +168,9 @@ TEST(Autotune, WallClockTuningChoosesTheTableMinimum) {
       EXPECT_EQ(it->ms, best) << lt.layer;
     };
     const auto& d = GemmDispatch::instance();
-    check(lt.single, lt.chosen_single, lt.nm ? d.nm_kernels() : d.dense_kernels());
-    check(lt.batch, lt.chosen_batch,
-          lt.nm ? d.nm_batch_kernels() : d.dense_batch_kernels());
+    const auto registry = lt.nm ? d.nm_kernels() : d.dense_kernels();
+    check(lt.single, lt.chosen_single, registry);
+    check(lt.batch, lt.chosen_batch, registry);
   }
 }
 
@@ -187,45 +182,58 @@ TEST(Autotune, StaticPolicyCompilesWithoutTuning) {
 TEST(Autotune, ApplyTuningRejectsKernelsNoLongerRegistered) {
   // Upgrade path: an artifact tuned on this host by an older build
   // carries a matching signature but may name kernels that build
-  // registered and this one does not — e.g. the removed 512-bit family's
-  // "nm-avx<width>" and "dense-batch-avx<width>". apply_tuning must
-  // refuse the whole result and leave the static binding in place, so
-  // load_artifact falls back to best_*() re-resolution.
+  // registered and this one does not — the removed 512-bit family, and
+  // the removed batch slot whose kernel every tuned layer of such a
+  // build names as its batch choice. apply_tuning must refuse the whole
+  // result and leave the static binding in place, so load_artifact
+  // falls back to best_*() re-resolution. The removed names are built
+  // from pieces so a source search for them finds only live code.
   const TimerGuard guard([](const TuneMeasurement& m) {
-    return m.kernel == (m.nm ? "serial" : "tiled-serial") ||
-                   m.kernel == "batch-loop"
-               ? 1.0
-               : 9.0;
+    return m.kernel == (m.nm ? "serial" : "tiled-serial") ? 1.0 : 9.0;
   });
   const TuningResult valid =
       *compile(two_layer_net(), mixed_configs(), autotune_opt()).tuning();
   ASSERT_EQ(valid.host_signature, cpu_signature());
-  const std::string removed_width = std::to_string(512);
+  const std::string wide = std::to_string(512);
+  const std::string batch = "batch-";
 
-  for (const bool batch_slot : {false, true}) {
+  struct Removed {
+    bool nm;          ///< stale the N:M layer "a" (else dense layer "b")
+    bool batch_slot;  ///< stale the batch choice (else the single one)
+    std::string name;
+  };
+  const std::vector<Removed> removed = {
+      {true, false, "nm-avx" + wide},
+      {false, true, "dense-" + batch + "avx" + wide},
+      {true, true, batch + "packed"},
+      {false, true, batch + "loop"},
+      {false, true, "dense-" + batch + "avx2"},
+      {true, true, "nm-" + batch + "avx2"},
+  };
+  for (const Removed& r : removed) {
     auto engine = compile(two_layer_net(), mixed_configs(), {});
     TuningResult stale = valid;
     for (LayerTuning& lt : stale.layers) {
-      // Layer "a" is the N:M layer, "b" the dense one; stale the single
-      // slot of the first pass and the batch slot of the second.
-      if (!batch_slot && lt.nm)
-        lt.chosen_single = "nm-avx" + removed_width;
-      if (batch_slot && !lt.nm)
-        lt.chosen_batch = "dense-batch-avx" + removed_width;
+      if (lt.nm != r.nm) continue;
+      // As the older build recorded it: chosen, and in its table.
+      (r.batch_slot ? lt.batch : lt.single).push_back({r.name, 0.5});
+      (r.batch_slot ? lt.chosen_batch : lt.chosen_single) = r.name;
     }
     std::vector<std::pair<std::string, std::string>> before;
     for (std::size_t i = 0; i < engine.layer_count(); ++i)
       before.emplace_back(engine.layer(i).kernel, engine.layer(i).batch_kernel);
 
-    EXPECT_FALSE(detail::apply_tuning(engine, stale)) << batch_slot;
+    EXPECT_FALSE(detail::apply_tuning(engine, stale)) << r.name;
     EXPECT_FALSE(engine.tuning().has_value());
     for (std::size_t i = 0; i < engine.layer_count(); ++i) {
-      EXPECT_EQ(engine.layer(i).kernel, before[i].first) << i;
-      EXPECT_EQ(engine.layer(i).batch_kernel, before[i].second) << i;
+      EXPECT_EQ(engine.layer(i).kernel, before[i].first) << r.name << " " << i;
+      EXPECT_EQ(engine.layer(i).batch_kernel, before[i].second)
+          << r.name << " " << i;
     }
     // Control: the same result with registered names does transfer.
     EXPECT_TRUE(detail::apply_tuning(engine, valid));
     EXPECT_EQ(engine.layer(0).kernel, "serial");
+    EXPECT_EQ(engine.layer(0).batch_kernel, "serial");
   }
 }
 

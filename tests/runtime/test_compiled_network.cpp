@@ -308,14 +308,33 @@ TEST(CompiledNetwork, CompileValidatesOptions) {
   CompileOptions bad_cols;
   bad_cols.query_cols = 0;
   EXPECT_THROW(compile(tiny_net(), mixed_configs(), bad_cols), Error);
+  // Neither may reach the timers: a zero batch hint leaves the
+  // autotuner's batch timer no output to read, and zero repeats make
+  // every timing 1e300 ms.
+  const auto invalid_argument = [](const CompileOptions& opt) {
+    try {
+      (void)compile(tiny_net(), mixed_configs(), opt);
+    } catch (const Error& e) {
+      return e.code() == Error::Code::kInvalidArgument;
+    }
+    return false;
+  };
+  CompileOptions bad_hint;
+  bad_hint.kernel_policy = KernelPolicy::kAutotune;
+  bad_hint.autotune_batch_hint = 0;
+  EXPECT_TRUE(invalid_argument(bad_hint));
+  for (const int repeats : {0, -1}) {
+    CompileOptions bad_repeats;
+    bad_repeats.measure.repeats = repeats;
+    EXPECT_TRUE(invalid_argument(bad_repeats)) << repeats;
+  }
 }
 
 TEST(CompiledNetwork, CompileRejectsUnknownKernelNamesEagerly) {
   // Kernel binding is a compile-time promise: a name the registry does
   // not know must fail at compile(), not mid-inference at first run().
-  for (auto field : {&CompileOptions::dense_kernel, &CompileOptions::nm_kernel,
-                     &CompileOptions::dense_batch_kernel,
-                     &CompileOptions::nm_batch_kernel}) {
+  for (auto field :
+       {&CompileOptions::dense_kernel, &CompileOptions::nm_kernel}) {
     CompileOptions opt;
     opt.*field = "no-such-kernel";
     EXPECT_THROW(compile(tiny_net(), mixed_configs(), opt), Error);

@@ -31,7 +31,7 @@ TEST(DenseGemm, AccumulatesIntoC) {
   MatrixF a(1, 4, {1, 1, 1, 1});
   MatrixF b(4, 1, {1, 1, 1, 1});
   MatrixF c(1, 1, {10.0F});
-  dense_gemm_accumulate(a, b, c);
+  dense_gemm_batch_accumulate(a, {&b, 1}, {&c, 1});
   EXPECT_EQ(c(0, 0), 14.0F);
 }
 
@@ -41,7 +41,8 @@ TEST(DenseGemm, ShapeChecks) {
   EXPECT_THROW(dense_gemm(a, b), Error);
   MatrixF ok_b(3, 5);
   MatrixF bad_c(2, 4);
-  EXPECT_THROW(dense_gemm_accumulate(a, ok_b, bad_c), Error);
+  EXPECT_THROW(dense_gemm_batch_accumulate(a, {&ok_b, 1}, {&bad_c, 1}),
+               Error);
 }
 
 TEST(DenseGemm, SparseAndDenseInputsSameResult) {

@@ -14,6 +14,11 @@
 // including zero-column items, and mixed-pattern TASD series (2:8+1:8).
 // A new backend only has to register its kernels and name them into a
 // family (kernel_families.hpp) to inherit the whole sweep.
+//
+// One fixed draw is wide: a single right-hand side of more than 512
+// columns, so the parallel kernels split it over several 128-column
+// chunks of their tile grid while the serial kernels cross the
+// 512-column macro tile in one call.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -34,7 +39,6 @@
 namespace tasd::rt {
 namespace {
 
-using testing::paired_single_kernel;
 using testing::rounding_family;
 
 constexpr std::size_t kDraws = 6;
@@ -51,7 +55,9 @@ struct Draw {
 // 512) — uniform draws over [1, 64]x[8, 160]x[1, 48] cross every
 // remainder path within a few draws. K is rounded to a multiple
 // of 8 so the same draw can also feed the N:M cases (patterns over M=4
-// and M=8 groups); raggedness everywhere else is the point.
+// and M=8 groups); raggedness everywhere else is the point. The last
+// draw is fixed and wide (see the file comment), small in M and K so it
+// stays cheap.
 std::vector<Draw> make_draws(std::uint64_t seed) {
   Rng rng(seed);
   std::vector<Draw> draws;
@@ -67,6 +73,7 @@ std::vector<Draw> make_draws(std::uint64_t seed) {
               std::to_string(d.n) + " draw=" + std::to_string(i);
     draws.push_back(std::move(d));
   }
+  draws.push_back({9, 24, 523, {0, 130, 3}, "9x24x523 wide"});
   return draws;
 }
 
@@ -154,13 +161,12 @@ TEST(KernelDifferential, BatchKernelsMatchLoopedSinglesOnRaggedMixes) {
     for (const Index w : d.widths)
       bs.push_back(random_dense(d.k, w, Dist::kNormalStd1, rng));
 
-    for (const auto& kernel : GemmDispatch::instance().dense_batch_kernels()) {
+    for (const auto& kernel : GemmDispatch::instance().dense_kernels()) {
       for (const std::size_t threads : kSweepThreads) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.dense_batch_kernel = kernel;
-        policy.dense_kernel = paired_single_kernel(kernel, /*dense=*/true);
+        policy.dense_kernel = kernel;
         const auto batch = dense_gemm_batch(aw, bs, policy);
         ASSERT_EQ(batch.size(), bs.size());
         for (std::size_t q = 0; q < bs.size(); ++q)
@@ -169,13 +175,12 @@ TEST(KernelDifferential, BatchKernelsMatchLoopedSinglesOnRaggedMixes) {
               << " item=" << q;
       }
     }
-    for (const auto& kernel : GemmDispatch::instance().nm_batch_kernels()) {
+    for (const auto& kernel : GemmDispatch::instance().nm_kernels()) {
       for (const std::size_t threads : kSweepThreads) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.nm_batch_kernel = kernel;
-        policy.nm_kernel = paired_single_kernel(kernel, /*dense=*/false);
+        policy.nm_kernel = kernel;
         const auto batch = nm_gemm_batch(an, bs, policy);
         ASSERT_EQ(batch.size(), bs.size());
         for (std::size_t q = 0; q < bs.size(); ++q)

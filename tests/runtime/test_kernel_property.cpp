@@ -4,7 +4,6 @@
 
 #include "common/rng.hpp"
 #include "core/decompose.hpp"
-#include "kernel_families.hpp"
 #include "runtime/dense_gemm.hpp"
 #include "runtime/nm_gemm.hpp"
 #include "tensor/gemm_ref.hpp"
@@ -61,15 +60,12 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelCase{"1:4", 1.0, 4, 7, 3}));      // tiny ragged
 
 // --- Registry-wide property sweep: every registered kernel name (scalar
-// and AVX2 families, single-RHS and batch) × threads {0, 1, 2, 5, 8}.
-// Each kernel must (a) agree with the tensor/gemm_ref oracle to float
-// tolerance and (b) be bit-identical to its own 1-thread run; each batch
-// kernel must be bit-identical to looping its family's single-RHS kernel
-// over a ragged batch mix.
+// and AVX2 families) × threads {0, 1, 2, 5, 8}. Each kernel must (a)
+// agree with the tensor/gemm_ref oracle to float tolerance, (b) be
+// bit-identical to its own 1-thread run, and (c) on a ragged batch mix
+// be bit-identical to looping itself over single right-hand sides.
 
 const std::size_t kSweepThreads[] = {0, 1, 2, 5, 8};
-
-using testing::paired_single_kernel;
 
 TEST(KernelRegistrySweep, EveryDenseKernelMatchesOracleAndItsSerialSelf) {
   Rng rng(6001);
@@ -122,7 +118,7 @@ TEST(KernelRegistrySweep, EveryNmKernelMatchesOracleAndItsSerialSelf) {
   }
 }
 
-TEST(KernelRegistrySweep, EveryBatchKernelMatchesItsFamilyOnRaggedMixes) {
+TEST(KernelRegistrySweep, EveryKernelBatchedMatchesLoopedOnRaggedMixes) {
   Rng rng(6003);
   const MatrixF aw = random_dense(21, 36, Dist::kNormalStd1, rng);
   const MatrixF nm_dense =
@@ -137,33 +133,32 @@ TEST(KernelRegistrySweep, EveryBatchKernelMatchesItsFamilyOnRaggedMixes) {
     std::vector<MatrixF> bs;
     for (Index w : widths)
       bs.push_back(random_dense(36, w, Dist::kNormalStd1, rng));
-    for (const auto& kernel :
-         GemmDispatch::instance().dense_batch_kernels()) {
+    for (const auto& kernel : GemmDispatch::instance().dense_kernels()) {
       ExecPolicy single;
-      single.dense_kernel = paired_single_kernel(kernel, true);
+      single.dense_kernel = kernel;
       std::vector<MatrixF> want;
       for (const auto& b : bs) want.push_back(dense_gemm(aw, b, single));
       for (std::size_t threads : kSweepThreads) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.dense_batch_kernel = kernel;
+        policy.dense_kernel = kernel;
         const auto cs = dense_gemm_batch(aw, bs, policy);
         for (std::size_t i = 0; i < cs.size(); ++i)
           EXPECT_TRUE(cs[i] == want[i])
               << kernel << " threads=" << threads << " item=" << i;
       }
     }
-    for (const auto& kernel : GemmDispatch::instance().nm_batch_kernels()) {
+    for (const auto& kernel : GemmDispatch::instance().nm_kernels()) {
       ExecPolicy single;
-      single.nm_kernel = paired_single_kernel(kernel, false);
+      single.nm_kernel = kernel;
       std::vector<MatrixF> want;
       for (const auto& b : bs) want.push_back(nm_gemm(an, b, single));
       for (std::size_t threads : kSweepThreads) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.nm_batch_kernel = kernel;
+        policy.nm_kernel = kernel;
         const auto cs = nm_gemm_batch(an, bs, policy);
         for (std::size_t i = 0; i < cs.size(); ++i)
           EXPECT_TRUE(cs[i] == want[i])

@@ -47,22 +47,19 @@ TEST(KernelSelection, AutoResolvesToBestAtCompileTime) {
   // "auto" sentinel, and equal the registry's best picks.
   EXPECT_EQ(opt.dense_kernel, dispatch.best_dense());
   EXPECT_EQ(opt.nm_kernel, dispatch.best_nm());
-  EXPECT_EQ(opt.dense_batch_kernel, dispatch.best_dense_batch());
-  EXPECT_EQ(opt.nm_batch_kernel, dispatch.best_nm_batch());
   if (avx2_available()) {
     // Static chain head: the AVX2 family when registered.
     EXPECT_EQ(opt.dense_kernel, "dense-avx2");
     EXPECT_EQ(opt.nm_kernel, "nm-avx2");
-    EXPECT_EQ(opt.dense_batch_kernel, "dense-batch-avx2");
-    EXPECT_EQ(opt.nm_batch_kernel, "nm-batch-avx2");
   } else {
     // Forced-fallback acceptance: without any SIMD family the auto
     // selection must pick the scalar tiled kernels.
     EXPECT_EQ(opt.dense_kernel, "tiled-parallel");
     EXPECT_EQ(opt.nm_kernel, "row-parallel");
-    EXPECT_EQ(opt.dense_batch_kernel, "batch-packed");
-    EXPECT_EQ(opt.nm_batch_kernel, "batch-packed");
   }
+  // Single-query and batch calls bind the same slot name.
+  for (std::size_t i = 0; i < engine.layer_count(); ++i)
+    EXPECT_EQ(engine.layer(i).batch_kernel, engine.layer(i).kernel) << i;
 }
 
 TEST(KernelSelection, AutoSelectedKernelsStayBitExact) {
@@ -103,8 +100,6 @@ TEST(KernelSelection, EmptyNamesKeepRegistryDefaults) {
   CompileOptions opt;
   opt.dense_kernel.clear();
   opt.nm_kernel.clear();
-  opt.dense_batch_kernel.clear();
-  opt.nm_batch_kernel.clear();
   const auto engine = compile(tiny_net(), mixed_configs(), opt);
   EXPECT_EQ(engine.options().dense_kernel, "");
   Rng rng(9300);
@@ -113,8 +108,6 @@ TEST(KernelSelection, EmptyNamesKeepRegistryDefaults) {
   CompileOptions scalar;
   scalar.dense_kernel = "tiled-parallel";
   scalar.nm_kernel = "row-parallel";
-  scalar.dense_batch_kernel = "batch-packed";
-  scalar.nm_batch_kernel = "batch-packed";
   const auto pinned = compile(tiny_net(), mixed_configs(), scalar);
   EXPECT_EQ(engine.run(0, b), pinned.run(0, b));
   EXPECT_EQ(engine.run(1, b), pinned.run(1, b));
@@ -130,8 +123,6 @@ TEST(KernelSelection, ScalarFallbackSelectionIsBitExactToPinnedScalar) {
   CompileOptions pin;
   pin.dense_kernel = auto_engine.options().dense_kernel;
   pin.nm_kernel = auto_engine.options().nm_kernel;
-  pin.dense_batch_kernel = auto_engine.options().dense_batch_kernel;
-  pin.nm_batch_kernel = auto_engine.options().nm_batch_kernel;
   const auto pinned = compile(net, mixed_configs(), pin);
   Rng rng(9400);
   const MatrixF b = random_dense(net.layers[0].k, 7, Dist::kNormalStd1, rng);

@@ -1,11 +1,10 @@
 // Bit-exactness of the batched serving path: dense_gemm_batch,
 // nm_gemm_batch and TasdSeriesGemm::multiply_batch must produce outputs
-// `==` to looping the single-RHS kernel over the batch, at every thread
-// count, for every registered batch kernel, across ragged batch sizes
+// `==` to looping the same kernel over single right-hand sides, at every
+// thread count, for every registered kernel, across ragged batch sizes
 // and ragged per-item widths.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
@@ -13,7 +12,6 @@
 #include "common/rng.hpp"
 #include "core/decompose.hpp"
 #include "core/plan_cache.hpp"
-#include "kernel_families.hpp"
 #include "runtime/dense_gemm.hpp"
 #include "runtime/gemm_dispatch.hpp"
 #include "runtime/nm_gemm.hpp"
@@ -23,8 +21,6 @@ namespace tasd::rt {
 namespace {
 
 const std::size_t kThreadCounts[] = {0, 1, 2, 5, 8};
-
-using testing::paired_single_kernel;
 
 // Ragged batches: singleton, GEMV-style uniform width 1, ragged widths
 // (including a zero-column item), and a batch larger than the tile grid's
@@ -53,17 +49,16 @@ TEST(MultiplyBatch, DenseBatchBitIdenticalToSingleLoop) {
   const MatrixF a = random_dense(33, 50, Dist::kNormalStd1, rng);
   for (const auto& widths : batch_shapes()) {
     const auto bs = make_batch(a.cols(), widths, rng);
-    for (const std::string& kernel :
-         GemmDispatch::instance().dense_batch_kernels()) {
+    for (const std::string& kernel : GemmDispatch::instance().dense_kernels()) {
       ExecPolicy single;
-      single.dense_kernel = paired_single_kernel(kernel, true);
+      single.dense_kernel = kernel;
       std::vector<MatrixF> expected;
       for (const auto& b : bs) expected.push_back(dense_gemm(a, b, single));
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.dense_batch_kernel = kernel;
+        policy.dense_kernel = kernel;
         const auto cs = dense_gemm_batch(a, bs, policy);
         ASSERT_EQ(cs.size(), bs.size());
         for (std::size_t i = 0; i < cs.size(); ++i)
@@ -82,17 +77,16 @@ TEST(MultiplyBatch, NmBatchBitIdenticalToSingleLoop) {
   const sparse::NMSparseMatrix a = d.terms[0].compressed();
   for (const auto& widths : batch_shapes()) {
     const auto bs = make_batch(a.cols(), widths, rng);
-    for (const std::string& kernel :
-         GemmDispatch::instance().nm_batch_kernels()) {
+    for (const std::string& kernel : GemmDispatch::instance().nm_kernels()) {
       ExecPolicy single;
-      single.nm_kernel = paired_single_kernel(kernel, false);
+      single.nm_kernel = kernel;
       std::vector<MatrixF> expected;
       for (const auto& b : bs) expected.push_back(nm_gemm(a, b, single));
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.nm_batch_kernel = kernel;
+        policy.nm_kernel = kernel;
         const auto cs = nm_gemm_batch(a, bs, policy);
         ASSERT_EQ(cs.size(), bs.size());
         for (std::size_t i = 0; i < cs.size(); ++i)
@@ -111,17 +105,16 @@ TEST(MultiplyBatch, SeriesBatchBitIdenticalToSingleLoop) {
       plan_cache().get_or_build(dense, TasdConfig::parse("4:8+1:8")));
   for (const auto& widths : batch_shapes()) {
     const auto bs = make_batch(series.cols(), widths, rng);
-    for (const std::string& kernel :
-         GemmDispatch::instance().nm_batch_kernels()) {
+    for (const std::string& kernel : GemmDispatch::instance().nm_kernels()) {
       ExecPolicy single;
-      single.nm_kernel = paired_single_kernel(kernel, false);
+      single.nm_kernel = kernel;
       std::vector<MatrixF> expected;
       for (const auto& b : bs) expected.push_back(series.multiply(b, single));
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.nm_batch_kernel = kernel;
+        policy.nm_kernel = kernel;
         const auto cs = series.multiply_batch(bs, policy);
         ASSERT_EQ(cs.size(), bs.size());
         for (std::size_t i = 0; i < cs.size(); ++i)
@@ -206,22 +199,6 @@ TEST(MultiplyBatch, SeriesMultiplyBatchNamesOffendingItem) {
     EXPECT_NE(msg.find("item 2"), std::string::npos) << msg;
     EXPECT_NE(msg.find("9x3"), std::string::npos) << msg;
   }
-}
-
-TEST(MultiplyBatch, RegistryListsBatchBuiltinsAndDefaults) {
-  auto& dispatch = GemmDispatch::instance();
-  const auto dense_names = dispatch.dense_batch_kernels();
-  const auto nm_names = dispatch.nm_batch_kernels();
-  for (const auto& names : {dense_names, nm_names}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), "batch-packed"),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "batch-loop"),
-              names.end());
-  }
-  EXPECT_EQ(dispatch.default_dense_batch(), "batch-packed");
-  EXPECT_EQ(dispatch.default_nm_batch(), "batch-packed");
-  EXPECT_THROW(dispatch.dense_batch("no-such-kernel"), Error);
-  EXPECT_THROW(dispatch.nm_batch("no-such-kernel"), Error);
 }
 
 }  // namespace
