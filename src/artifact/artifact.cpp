@@ -1,5 +1,6 @@
 #include "artifact/artifact.hpp"
 
+#include <cstring>
 #include <fstream>
 #include <utility>
 
@@ -63,10 +64,27 @@ void write_section(const CompiledNetwork::BoundLayer& l, io::ByteWriter& w) {
     w.u64(term.cols());
     w.u64(term.values().size());
     w.f32_array(term.values());
-    w.bytes(term.in_block_index().data(), term.in_block_index().size());
+    // On disk a term keeps the block encoding: an in-block index per
+    // value, then one end offset per (row, M-block). Both derive from
+    // the stream's columns, which ascend within a row.
+    const auto m = static_cast<Index>(term.pattern().m);
+    const auto& col = term.col_index();
+    const auto& row_ptr = term.row_ptr();
+    std::vector<std::uint8_t> in_block_index(col.size());
+    for (std::size_t s = 0; s < col.size(); ++s)
+      in_block_index[s] = static_cast<std::uint8_t>(col[s] % m);
+    w.bytes(in_block_index.data(), in_block_index.size());
     w.pad_to(8);
-    w.u64(term.block_offsets().size());
-    for (const Index off : term.block_offsets()) w.u64(off);
+    const Index blocks_per_row = term.blocks_per_row();
+    w.u64(term.rows() * blocks_per_row + 1);
+    w.u64(0);
+    for (Index r = 0; r < term.rows(); ++r) {
+      Index s = row_ptr[r];
+      for (Index b = 1; b <= blocks_per_row; ++b) {
+        while (s < row_ptr[r + 1] && col[s] < b * m) ++s;
+        w.u64(s);
+      }
+    }
   }
 }
 
@@ -300,29 +318,63 @@ detail::PreboundLayer read_section(std::span<const unsigned char> bytes,
                              " matrix");
     std::vector<float> values(value_count);
     r.f32_array(values);
-    std::vector<std::uint8_t> in_block_index(value_count);
-    r.bytes(in_block_index.data(), in_block_index.size());
+    const auto in_block_index = r.take(value_count);
     r.skip_pad(8);
     const std::uint64_t offsets_count = r.u64();
     const std::uint64_t blocks_per_row =
         (cols + pm - 1) / pm;  // pm > 0 checked above
-    if (offsets_count != rows * blocks_per_row + 1)
+    const auto term_fail = [&](const std::string& what) {
       fail_corrupt(path, "layer " + std::to_string(layer_index) + " term " +
-                             std::to_string(t) +
-                             " has a wrong block-offset count");
-    std::vector<std::uint64_t> raw_offsets(offsets_count);
-    r.u64_array(raw_offsets);
-    std::vector<Index> offsets(raw_offsets.begin(), raw_offsets.end());
+                             std::to_string(t) + " " + what);
+    };
+    if (offsets_count != rows * blocks_per_row + 1)
+      term_fail("has a wrong block-offset count");
+    if (offsets_count > r.remaining() / sizeof(std::uint64_t))
+      term_fail("block offsets extend past its section");
+    const auto raw = r.take(offsets_count * sizeof(std::uint64_t));
+    const auto offset = [&raw](std::uint64_t i) {
+      std::uint64_t v;
+      std::memcpy(&v, raw.data() + i * sizeof v, sizeof v);
+      return io::from_little_endian(v);
+    };
+    if (offset(0) != 0 || offset(offsets_count - 1) != value_count)
+      term_fail("has block offsets that do not span its values");
+
+    // Decode the block encoding straight into the stream, reading the
+    // offsets in place: they are never materialized. One pass per row
+    // walks its values, advancing to the block each one ends in, and
+    // checks every offset it passes for monotonicity. Monotone offsets
+    // and in-block indices < M are this encoding's invariants;
+    // from_parts then checks the stream's.
+    std::vector<std::uint32_t> col_index(value_count);
+    std::vector<Index> row_ptr(rows + 1, 0);
+    bool monotone = true;
+    for (std::uint64_t row = 0; row < rows; ++row) {
+      const std::uint64_t first = row * blocks_per_row;
+      const std::uint64_t last = first + blocks_per_row;
+      const std::uint64_t row_end = offset(last);
+      if (offset(first) > row_end || row_end > value_count)
+        term_fail("has non-monotone block offsets");
+      std::uint64_t g = first;
+      for (std::uint64_t s = offset(first); s < row_end; ++s) {
+        for (; offset(g + 1) <= s; ++g) monotone &= offset(g) <= offset(g + 1);
+        const std::uint64_t c = (g - first) * pm + in_block_index[s];
+        if (in_block_index[s] >= pm || c >= cols)
+          term_fail("has an in-block index out of range");
+        col_index[s] = static_cast<std::uint32_t>(c);
+      }
+      for (; g < last; ++g) monotone &= offset(g) <= offset(g + 1);
+      if (!monotone) term_fail("has non-monotone block offsets");
+      row_ptr[row + 1] = static_cast<Index>(row_end);
+    }
     try {
       plan->terms.push_back(sparse::NMSparseMatrix::from_parts(
           patterns[t], static_cast<Index>(rows), static_cast<Index>(cols),
-          std::move(values), std::move(in_block_index), std::move(offsets)));
+          std::move(values), std::move(col_index), std::move(row_ptr)));
     } catch (const Error& e) {
-      // from_parts checks the grouping invariant with kInvalidArgument;
+      // from_parts checks the stream invariants with kInvalidArgument;
       // on this path an inconsistency means the bytes lie — data loss.
-      fail_corrupt(path, "layer " + std::to_string(layer_index) + " term " +
-                             std::to_string(t) +
-                             " is structurally inconsistent: " + e.what());
+      term_fail(std::string("is structurally inconsistent: ") + e.what());
     }
   }
   if (r.remaining() != 0)

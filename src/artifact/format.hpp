@@ -18,9 +18,16 @@
 // The fixed-width, aligned layout is deliberately mmap-friendly: every
 // integer field sits at a natural alignment, sections start on cache-
 // line boundaries, and the TOC locates every payload without parsing
-// the sections — a future zero-copy loader can bind term buffers
-// straight out of a mapping. The v1 reader copies (NMSparseMatrix owns
-// its storage) but validates exactly the same invariants.
+// the sections.
+//
+// A configured section stores each series term in the block encoding:
+// values f32[nnz], in-block index u8[nnz], then one u64 end offset per
+// (row, M-block) plus a leading 0. In memory a term is a per-row stream
+// (values, u32 columns, row pointers; sparse/nm_matrix.hpp), so the
+// writer derives the block arrays from the columns and the reader
+// decodes them into columns as it reads, checking that the offsets are
+// monotone and every in-block index is < M (docs/artifact.md § On disk
+// vs in memory). No other code knows the block encoding.
 //
 // These constants are public so tooling and the corruption-matrix tests
 // (tests/artifact/) can locate and patch specific fields; the reader/

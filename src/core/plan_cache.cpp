@@ -27,18 +27,13 @@ Index DecompositionPlan::storage_bytes() const {
 MatrixF DecompositionPlan::approximation() const {
   MatrixF acc(rows, cols);
   for (const auto& t : terms) {
-    const auto m = static_cast<Index>(t.pattern().m);
     const auto& values = t.values();
-    const auto& idx = t.in_block_index();
-    const auto& offsets = t.block_offsets();
-    Index group = 0;
+    const auto& col = t.col_index();
+    const auto& row_ptr = t.row_ptr();
     for (Index r = 0; r < rows; ++r) {
       float* row = acc.data() + r * cols;
-      for (Index blk = 0; blk < t.blocks_per_row(); ++blk, ++group) {
-        const Index base = blk * m;
-        for (Index s = offsets[group]; s < offsets[group + 1]; ++s)
-          row[base + idx[s]] += values[s];
-      }
+      for (Index s = row_ptr[r]; s < row_ptr[r + 1]; ++s)
+        row[col[s]] += values[s];
     }
   }
   return acc;

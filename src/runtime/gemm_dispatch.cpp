@@ -59,22 +59,16 @@ void nm_gemm_tile(const sparse::NMSparseMatrix& a, const MatrixF& b,
                   MatrixF& c, Index row_begin, Index row_end,
                   Index col_begin, Index col_end) {
   const Index n = b.cols();
-  const auto m = static_cast<Index>(a.pattern().m);
   const auto& values = a.values();
-  const auto& idx = a.in_block_index();
-  const auto& offsets = a.block_offsets();
-  const Index blocks_per_row = a.blocks_per_row();
+  const auto& col = a.col_index();
+  const auto& row_ptr = a.row_ptr();
 
   for (Index r = row_begin; r < row_end; ++r) {
     float* __restrict crow = c.data() + r * n;
-    Index group = r * blocks_per_row;
-    for (Index blk = 0; blk < blocks_per_row; ++blk, ++group) {
-      const Index k_base = blk * m;
-      for (Index s = offsets[group]; s < offsets[group + 1]; ++s) {
-        const float av = values[s];
-        const float* __restrict brow = b.data() + (k_base + idx[s]) * n;
-        for (Index j = col_begin; j < col_end; ++j) crow[j] += av * brow[j];
-      }
+    for (Index s = row_ptr[r]; s < row_ptr[r + 1]; ++s) {
+      const float av = values[s];
+      const float* __restrict brow = b.data() + Index{col[s]} * n;
+      for (Index j = col_begin; j < col_end; ++j) crow[j] += av * brow[j];
     }
   }
 }

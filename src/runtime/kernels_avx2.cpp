@@ -20,6 +20,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cstdint>
 
 namespace tasd::rt {
 
@@ -102,30 +103,21 @@ void dense_rows_avx2(const float* __restrict arow, Index k, const float* bd,
 
 // -------------------------------------------------------------- N:M core
 
-/// Accumulate kVecs*8 columns of C row r from the compressed row's
-/// stored values, in stored order, with the accumulators held in
-/// registers across the whole traversal.
+/// Accumulate kVecs*8 columns of C row r from the row's stored values,
+/// in stored order, with the accumulators held in registers across the
+/// whole stream.
 template <int kVecs>
-void nm_row_block_avx2(const sparse::NMSparseMatrix& a, const float* bd,
-                       float* __restrict crow, Index r, Index n, Index j) {
-  const auto m = static_cast<Index>(a.pattern().m);
-  const auto& values = a.values();
-  const auto& idx = a.in_block_index();
-  const auto& offsets = a.block_offsets();
-  const Index blocks_per_row = a.blocks_per_row();
-
+void nm_row_block_avx2(const float* values, const std::uint32_t* col,
+                       Index s0, Index s1, const float* bd,
+                       float* __restrict crow, Index n, Index j) {
   __m256 acc[kVecs];
   for (int v = 0; v < kVecs; ++v)
     acc[v] = _mm256_loadu_ps(crow + j + 8 * v);
-  Index group = r * blocks_per_row;
-  for (Index blk = 0; blk < blocks_per_row; ++blk, ++group) {
-    const Index k_base = blk * m;
-    for (Index s = offsets[group]; s < offsets[group + 1]; ++s) {
-      const __m256 av = _mm256_set1_ps(values[s]);
-      const float* brow = bd + (k_base + idx[s]) * n + j;
-      for (int v = 0; v < kVecs; ++v)
-        acc[v] = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8 * v), acc[v]);
-    }
+  for (Index s = s0; s < s1; ++s) {
+    const __m256 av = _mm256_set1_ps(values[s]);
+    const float* brow = bd + Index{col[s]} * n + j;
+    for (int v = 0; v < kVecs; ++v)
+      acc[v] = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8 * v), acc[v]);
   }
   for (int v = 0; v < kVecs; ++v)
     _mm256_storeu_ps(crow + j + 8 * v, acc[v]);
@@ -156,46 +148,42 @@ void nm_gemm_tile_avx2(const sparse::NMSparseMatrix& a, const MatrixF& b,
                        MatrixF& c, Index row_begin, Index row_end,
                        Index col_begin, Index col_end) {
   const Index n = b.cols();
-  const auto m = static_cast<Index>(a.pattern().m);
-  const auto& values = a.values();
-  const auto& idx = a.in_block_index();
-  const auto& offsets = a.block_offsets();
-  const Index blocks_per_row = a.blocks_per_row();
+  const float* values = a.values().data();
+  const std::uint32_t* col = a.col_index().data();
+  const auto& row_ptr = a.row_ptr();
   const float* bd = b.data();
 
   for (Index jt = col_begin; jt < col_end; jt += kMacroTileN) {
     const Index je = std::min(col_end, jt + kMacroTileN);
     for (Index r = row_begin; r < row_end; ++r) {
       float* __restrict crow = c.data() + r * n;
-      // Each block width costs one traversal of the row's compressed
-      // storage, so take the widest block that fits (32/16/8 columns)
-      // and finish the sub-vector tail in a single traversal too — the
-      // serving path's narrow packed batches (a few width-1 queries)
-      // live entirely in the 16/8/tail cases.
+      const Index s0 = row_ptr[r], s1 = row_ptr[r + 1];
+      // Each block width costs one pass over the row's stream, so take
+      // the widest block that fits (32/16/8 columns) and finish the
+      // sub-vector tail in a single pass too — the serving path's narrow
+      // packed batches (a few width-1 queries) live entirely in the
+      // 16/8/tail cases.
       Index j = jt;
-      for (; j + 32 <= je; j += 32) nm_row_block_avx2<4>(a, bd, crow, r, n, j);
+      for (; j + 32 <= je; j += 32)
+        nm_row_block_avx2<4>(values, col, s0, s1, bd, crow, n, j);
       if (j + 16 <= je) {
-        nm_row_block_avx2<2>(a, bd, crow, r, n, j);
+        nm_row_block_avx2<2>(values, col, s0, s1, bd, crow, n, j);
         j += 16;
       }
       if (j + 8 <= je) {
-        nm_row_block_avx2<1>(a, bd, crow, r, n, j);
+        nm_row_block_avx2<1>(values, col, s0, s1, bd, crow, n, j);
         j += 8;
       }
       if (j < je) {
-        // Masked-vector tail: one traversal, register accumulator,
+        // Masked-vector tail: one pass, register accumulator,
         // stored-value-ascending fused chain per element — the batch-1
         // GEMV serving case runs entirely through here.
         const __m256i mask = tail_mask(je - j);
         __m256 acc = _mm256_maskload_ps(crow + j, mask);
-        Index group = r * blocks_per_row;
-        for (Index blk = 0; blk < blocks_per_row; ++blk, ++group) {
-          const Index k_base = blk * m;
-          for (Index v = offsets[group]; v < offsets[group + 1]; ++v) {
-            const __m256 bv =
-                _mm256_maskload_ps(bd + (k_base + idx[v]) * n + j, mask);
-            acc = _mm256_fmadd_ps(_mm256_set1_ps(values[v]), bv, acc);
-          }
+        for (Index s = s0; s < s1; ++s) {
+          const __m256 bv =
+              _mm256_maskload_ps(bd + Index{col[s]} * n + j, mask);
+          acc = _mm256_fmadd_ps(_mm256_set1_ps(values[s]), bv, acc);
         }
         _mm256_maskstore_ps(crow + j, mask, acc);
       }

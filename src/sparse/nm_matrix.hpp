@@ -1,11 +1,15 @@
 // Compressed N:M structured sparse matrix.
 //
-// Storage mirrors what real structured-sparse hardware consumes (e.g.
-// NVIDIA sparse tensor core metadata): for every M-aligned block we keep at
-// most N (value, in-block-index) pairs. Unlike the hardware format we keep
-// a per-block count so patterns with fewer than N non-zeros compress
-// further; the metadata bit cost model in src/accel/ charges the full
-// ceil(log2(M))*N bits the way hardware would.
+// In memory every term is a per-row stream of stored values, the way a
+// structured-sparse datapath consumes them: one (value, column) pair per
+// stored non-zero and a row pointer, so a GEMM costs one MAC per stored
+// value and nothing per empty M-block. Within a row the columns ascend,
+// so the values of each M-aligned block stay contiguous and at most N
+// long — the N:M invariant, checked once when the stream is built or
+// loaded and never walked per query. The hardware-style footprint in
+// storage_bytes() (and the metadata bit cost model in src/accel/) still
+// charges N slots and N*ceil(log2(M)) index bits per block, the way the
+// hardware would.
 #pragma once
 
 #include <cstdint>
@@ -25,14 +29,15 @@ class NMSparseMatrix {
   /// use nm_view()/decomposition to make a conforming matrix first).
   NMSparseMatrix(const MatrixF& dense, NMPattern pattern);
 
-  /// Assemble from pre-compressed storage (the direct-compression
-  /// decomposition path builds these arrays without a dense
-  /// intermediate). The arrays must obey the grouping invariant
-  /// documented on the accessors below; sizes are checked.
+  /// Assemble from a pre-built stream (the direct-compression
+  /// decomposition path and the artifact loader build these arrays
+  /// without a dense intermediate). Every invariant documented on the
+  /// accessors below is checked here; a violation throws
+  /// kInvalidArgument.
   static NMSparseMatrix from_parts(NMPattern pattern, Index rows, Index cols,
                                    std::vector<float> values,
-                                   std::vector<std::uint8_t> in_block_index,
-                                   std::vector<Index> block_offsets);
+                                   std::vector<std::uint32_t> col_index,
+                                   std::vector<Index> row_ptr);
 
   [[nodiscard]] const NMPattern& pattern() const { return pattern_; }
   [[nodiscard]] Index rows() const { return rows_; }
@@ -55,30 +60,28 @@ class NMSparseMatrix {
   /// Dense storage footprint for comparison.
   [[nodiscard]] Index dense_bytes() const { return rows_ * cols_ * 4; }
 
-  // --- low-level access for the compressed GEMM kernels ---
+  /// Number of M-aligned blocks per row (the hardware encoding's unit).
+  [[nodiscard]] Index blocks_per_row() const;
 
-  /// Number of M-aligned blocks per row.
-  [[nodiscard]] Index blocks_per_row() const { return blocks_per_row_; }
+  // --- the stream the compressed GEMM kernels walk ---
 
-  /// values / in-block column offsets, grouped per (row, block) with
-  /// block_offsets delimiting groups: group g spans
-  /// [block_offsets[g], block_offsets[g+1]).
+  /// Stored values; row r's span [row_ptr[r], row_ptr[r+1]).
   [[nodiscard]] const std::vector<float>& values() const { return values_; }
-  [[nodiscard]] const std::vector<std::uint8_t>& in_block_index() const {
-    return in_block_index_;
+  /// One column per value, strictly ascending within a row, < cols(); a
+  /// row holds at most N columns in any M-aligned block.
+  [[nodiscard]] const std::vector<std::uint32_t>& col_index() const {
+    return col_index_;
   }
-  [[nodiscard]] const std::vector<Index>& block_offsets() const {
-    return block_offsets_;
-  }
+  /// rows()+1 non-decreasing entries from 0 to nnz().
+  [[nodiscard]] const std::vector<Index>& row_ptr() const { return row_ptr_; }
 
  private:
   NMPattern pattern_{};
   Index rows_ = 0;
   Index cols_ = 0;
-  Index blocks_per_row_ = 0;
   std::vector<float> values_;
-  std::vector<std::uint8_t> in_block_index_;
-  std::vector<Index> block_offsets_;  // (rows*blocks_per_row)+1 entries
+  std::vector<std::uint32_t> col_index_;
+  std::vector<Index> row_ptr_{0};  // rows_+1 entries
 };
 
 }  // namespace tasd::sparse

@@ -61,13 +61,12 @@ NMSparseMatrix extract_term_inplace(MatrixF& residual,
                                     const NMPattern& pattern) {
   const auto m = static_cast<Index>(pattern.m);
   const Index cols = residual.cols();
-  const Index blocks_per_row = (cols + m - 1) / m;
 
   std::vector<float> values;
-  std::vector<std::uint8_t> in_block_index;
-  std::vector<Index> block_offsets;
-  block_offsets.reserve(residual.rows() * blocks_per_row + 1);
-  block_offsets.push_back(0);
+  std::vector<std::uint32_t> col_index;
+  std::vector<Index> row_ptr;
+  row_ptr.reserve(residual.rows() + 1);
+  row_ptr.push_back(0);
 
   std::vector<Index> selected;
   for (Index r = 0; r < residual.rows(); ++r) {
@@ -83,17 +82,16 @@ NMSparseMatrix extract_term_inplace(MatrixF& residual,
       for (Index i : selected) {
         if (row[i] != 0.0F) {
           values.push_back(row[i]);
-          in_block_index.push_back(static_cast<std::uint8_t>(i - b));
+          col_index.push_back(static_cast<std::uint32_t>(i));
         }
         row[i] = 0.0F;
       }
-      block_offsets.push_back(values.size());
     }
+    row_ptr.push_back(values.size());
   }
   return NMSparseMatrix::from_parts(pattern, residual.rows(), cols,
-                                    std::move(values),
-                                    std::move(in_block_index),
-                                    std::move(block_offsets));
+                                    std::move(values), std::move(col_index),
+                                    std::move(row_ptr));
 }
 
 }  // namespace tasd::sparse

@@ -118,9 +118,15 @@ class ByteReader {
   }
 
   void bytes(void* out, std::size_t size) {
+    std::memcpy(out, take(size).data(), size);
+  }
+
+  /// The next `size` bytes as a view into the input, without a copy.
+  [[nodiscard]] std::span<const unsigned char> take(std::size_t size) {
     require(size);
-    std::memcpy(out, data_.data() + pos_, size);
+    const auto out = data_.subspan(pos_, size);
     pos_ += size;
+    return out;
   }
 
   void f32_array(std::span<float> out) {

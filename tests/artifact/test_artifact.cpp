@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <iterator>
 #include <optional>
 
 #include "artifact/format.hpp"
@@ -277,6 +279,108 @@ TEST(Artifact, FingerprintMismatchIsInternal) {
   io::write_file(tmp.path, bytes);
   EXPECT_EQ(failure_code([&] { (void)load_artifact(tmp.path, {}); }),
             Error::Code::kInternal);
+}
+
+/// File offsets of layer 0's first term payloads (see write_section in
+/// artifact.cpp): its in-block index bytes and its block-offset array.
+struct TermPayload {
+  std::size_t in_block_index = 0;
+  std::uint64_t value_count = 0;
+  std::size_t block_offsets = 0;
+  std::uint64_t offset_count = 0;
+};
+
+TermPayload first_term_payload(const std::vector<unsigned char>& bytes) {
+  const std::uint64_t toc = peek_u64(bytes, artifact::kHeaderTocOffsetOffset);
+  const std::size_t section =
+      peek_u64(bytes, toc + artifact::kTocSectionOffsetOffset);
+  std::uint32_t name_len;
+  std::memcpy(&name_len, bytes.data() + section, sizeof name_len);
+  const auto align8 = [section](std::size_t pos) {
+    return section + (pos - section + 7) / 8 * 8;
+  };
+  std::size_t pos = align8(section + 4 + io::from_little_endian(name_len));
+  const std::uint64_t m = peek_u64(bytes, pos);
+  const std::uint64_t k = peek_u64(bytes, pos + 8);
+  pos = align8(pos + 32 + m * k * sizeof(float));  // shape, flag, weight
+  const std::uint64_t terms = peek_u64(bytes, pos);
+  pos += 8 + terms * 8 + 64;  // patterns, ApproxStats
+  pos += 24;                  // first term: n, m, rows, cols
+  TermPayload p;
+  p.value_count = peek_u64(bytes, pos);
+  p.in_block_index = pos + 8 + p.value_count * sizeof(float);
+  pos = align8(p.in_block_index + p.value_count);
+  p.offset_count = peek_u64(bytes, pos);
+  p.block_offsets = pos + 8;
+  return p;
+}
+
+/// Recompute layer 0's section CRC, its TOC entry and the TOC CRC, so
+/// only the structural validation can catch an edit.
+void reseal_layer0(std::vector<unsigned char>& bytes) {
+  const std::uint64_t toc = peek_u64(bytes, artifact::kHeaderTocOffsetOffset);
+  const std::uint64_t section =
+      peek_u64(bytes, toc + artifact::kTocSectionOffsetOffset);
+  const std::uint64_t size =
+      peek_u64(bytes, toc + artifact::kTocSectionSizeOffset);
+  patch_u32(bytes, toc + artifact::kTocSectionCrcOffset,
+            artifact::crc32(bytes.data() + section, size));
+  patch_u32(bytes, artifact::kHeaderTocCrcOffset,
+            artifact::crc32(bytes.data() + toc, 3 * artifact::kTocEntryBytes));
+}
+
+TEST(Artifact, StructurallyInvalidTermPastTheCrcIsInternal) {
+  // Layer 0 is 2:4. Each edit keeps every CRC valid and breaks one
+  // invariant of the block encoding or of the stream it decodes to; the
+  // load must fail typed before any kernel could index past B.
+  TempPath tmp("tasd_structure.tasdart");
+  const auto clean = saved_bytes(tmp);
+  const TermPayload p = first_term_payload(clean);
+  ASSERT_GT(p.value_count, 2u);
+  ASSERT_EQ(p.offset_count, 48u * (256u / 4u) + 1u);
+  const std::size_t last_offset = p.block_offsets + (p.offset_count - 1) * 8;
+  ASSERT_EQ(peek_u64(clean, p.block_offsets), 0u);
+  ASSERT_EQ(peek_u64(clean, last_offset), p.value_count);
+  // Row 0 spans blocks 0..63; its end offset is entry 64.
+  const std::uint64_t row0_end = peek_u64(clean, p.block_offsets + 64 * 8);
+  ASSERT_GT(row0_end, 2u);
+  ASSERT_LT(row0_end, p.value_count);
+
+  const char* const kEdits[] = {
+      "in-block index >= M",
+      "block offset past the values",
+      "block offsets decrease",
+      "first block offset nonzero",
+      "row 0 piled into its first block",
+  };
+  for (std::size_t e = 0; e < std::size(kEdits); ++e) {
+    auto bytes = clean;
+    switch (e) {
+      case 0:
+        bytes[p.in_block_index] = 200;
+        break;
+      case 1:
+        patch_u64(bytes, p.block_offsets + 8, p.value_count + 1);
+        break;
+      case 2:
+        patch_u64(bytes, p.block_offsets + 8, row0_end + 1);
+        break;
+      case 3:
+        patch_u64(bytes, p.block_offsets, 1);
+        break;
+      default:
+        for (std::size_t blk = 1; blk < 64; ++blk)
+          patch_u64(bytes, p.block_offsets + blk * 8, row0_end);
+    }
+    reseal_layer0(bytes);
+    io::write_file(tmp.path, bytes);
+    EXPECT_EQ(failure_code([&] { (void)load_artifact(tmp.path, {}); }),
+              Error::Code::kInternal)
+        << kEdits[e];
+  }
+  // The untouched file still loads.
+  io::write_file(tmp.path, clean);
+  EXPECT_NO_THROW((void)load_artifact(tmp.path, {}));
 }
 
 TEST(Artifact, ArtifactBytesCoversWeightsAndPlans) {

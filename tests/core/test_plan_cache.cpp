@@ -34,8 +34,8 @@ TEST(DecompositionPlanBuild, TermsDecompressToDensePathTerms) {
       // Same stored values, same order, same dense reconstruction.
       const auto compressed = dense_path.terms[i].compressed();
       EXPECT_EQ(plan.terms[i].values(), compressed.values());
-      EXPECT_EQ(plan.terms[i].in_block_index(), compressed.in_block_index());
-      EXPECT_EQ(plan.terms[i].block_offsets(), compressed.block_offsets());
+      EXPECT_EQ(plan.terms[i].col_index(), compressed.col_index());
+      EXPECT_EQ(plan.terms[i].row_ptr(), compressed.row_ptr());
       EXPECT_TRUE(plan.terms[i].to_dense() == dense_path.terms[i].dense);
     }
   }
