@@ -41,7 +41,7 @@ int main() {
   // but its dense kernel streams B better than the compressed kernel's
   // scattered accesses, diluting the ratio with a microarchitectural
   // effect Fig. 16's hardware does not have (see docs/reproducing.md;
-  // bench/serving_throughput reports both kernel sets).
+  // perfbench's --trace 1 stage times report both kernel sets).
   opt.dense_kernel = "tiled-parallel";
   opt.nm_kernel = "row-parallel";
   const auto engine = rt::compile(net, configs, opt);

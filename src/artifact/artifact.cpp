@@ -199,8 +199,10 @@ ParsedToc parse_header_and_toc(std::span<const unsigned char> bytes,
 
   const std::uint64_t toc_bytes =
       std::uint64_t{layer_count} * artifact::kTocEntryBytes;
+  // The header is not CRC'd, so compare without forming toc_offset +
+  // toc_bytes: a huge toc_offset would wrap that sum back into range.
   if (toc_offset < artifact::kHeaderBytes + name_len ||
-      toc_offset + toc_bytes > bytes.size())
+      toc_offset > bytes.size() || toc_bytes > bytes.size() - toc_offset)
     fail_corrupt(path, "truncated table of contents");
   if (crc32(bytes.data() + toc_offset, toc_bytes) != toc_crc)
     fail_corrupt(path, "table-of-contents CRC mismatch");

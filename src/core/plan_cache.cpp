@@ -224,11 +224,6 @@ PlanCacheStats PlanCache::stats() const {
   return impl_->stats;
 }
 
-void PlanCache::reset_stats() {
-  MutexLock lock(impl_->mutex);
-  impl_->stats = {};
-}
-
 std::size_t PlanCache::size() const {
   MutexLock lock(impl_->mutex);
   return impl_->lru.size();

@@ -72,8 +72,8 @@ struct ContentFingerprint {
 
 ContentFingerprint content_fingerprint(const MatrixF& m);
 
-/// Cache observability counters (monotonic since process start or the
-/// last reset_stats()).
+/// Cache observability counters, monotonic since the cache was built;
+/// callers measure deltas between two stats() snapshots.
 struct PlanCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -114,7 +114,6 @@ class PlanCache {
       const MatrixF& matrix, std::shared_ptr<const DecompositionPlan> plan);
 
   [[nodiscard]] PlanCacheStats stats() const;
-  void reset_stats();
 
   /// Number of cached plans.
   [[nodiscard]] std::size_t size() const;

@@ -224,56 +224,6 @@ std::vector<LayerTiming> CompiledNetwork::measure() const {
   return out;
 }
 
-std::vector<ServingThroughput> CompiledNetwork::serving_throughput(
-    const std::vector<std::size_t>& batch_sizes) const {
-  const ExecPolicy p = policy();
-  std::vector<ServingThroughput> out;
-  out.reserve(batch_sizes.size());
-  volatile float sink = 0.0F;  // defeat dead-code elimination
-  for (const std::size_t batch : batch_sizes) {
-    TASD_CHECK_MSG(batch >= 1, "batch sizes must be >= 1");
-    ServingThroughput r;
-    r.batch_size = batch;
-    Rng rng(opt_.measure.data_seed + batch);
-    for (const auto& l : layers_) {
-      std::vector<MatrixF> bs;
-      bs.reserve(batch);
-      for (std::size_t q = 0; q < batch; ++q)
-        bs.push_back(
-            random_dense(l.k, opt_.query_cols, Dist::kNormalStd1, rng));
-      // Same SIMD power-license warmup as measure(): run both paths
-      // untimed before timing either, so the dense/tasd comparison is
-      // made at the same sustained clocks.
-      for (Timer warm; warm.millis() < 2.0;) {
-        const auto cs = dense_gemm_batch(l.weight, bs, p);
-        sink = sink + cs[0](0, 0);
-        if (l.series) {
-          const auto ct = l.series->multiply_batch(bs, p);
-          sink = sink + ct[0](0, 0);
-        }
-      }
-      const double dense_ms = time_ms_min(opt_.measure.repeats, [&] {
-        const auto cs = dense_gemm_batch(l.weight, bs, p);
-        sink = sink + cs[0](0, 0);
-      });
-      r.dense_ms += dense_ms;
-      if (l.series) {
-        r.tasd_ms += time_ms_min(opt_.measure.repeats, [&] {
-          const auto cs = l.series->multiply_batch(bs, p);
-          sink = sink + cs[0](0, 0);
-        });
-      } else {
-        r.tasd_ms += dense_ms;
-      }
-    }
-    const double queries = static_cast<double>(batch);
-    r.dense_qps = r.dense_ms > 0.0 ? queries * 1e3 / r.dense_ms : 0.0;
-    r.tasd_qps = r.tasd_ms > 0.0 ? queries * 1e3 / r.tasd_ms : 0.0;
-    out.push_back(r);
-  }
-  return out;
-}
-
 namespace detail {
 
 CompiledNetwork assemble_network(std::string name,

@@ -8,8 +8,8 @@
 // The artifact owns, per layer, the materialized weight, the bound kernel
 // (dense, or a TasdSeriesGemm over the layer's DecompositionPlan) and the
 // execution policy / thread-pool binding. Plans are prewarmed through the
-// process-wide PlanCache exactly once, at compile time: run(), run_batch(),
-// measure() and serving_throughput() never decompose anything.
+// process-wide PlanCache exactly once, at compile time: run(), run_batch()
+// and measure() never decompose anything.
 //
 // Contract (see DESIGN.md § Compile-once / execute-many):
 //  * Immutability — a CompiledNetwork has no mutating methods; every
@@ -43,9 +43,8 @@
 
 namespace tasd::rt {
 
-/// Measurement knobs shared by every timed execution surface (the
-/// engine-style per-layer measurement, the serving sweep, and compile
-/// itself). Previously duplicated across EngineOptions / ServingOptions.
+/// Measurement knobs shared by every timed execution surface: the
+/// per-layer measure(), the autotuner, and compile itself.
 struct MeasureOptions {
   /// Timing repetitions; the minimum is reported.
   int repeats = 3;
@@ -109,17 +108,6 @@ std::vector<std::size_t> conversion_order(
 /// (runtime/autotune.hpp) so it times candidates at the same width.
 Index measured_n(Index n, Index n_divisor);
 
-/// Serving throughput of a whole network at one batch size: the batch
-/// latency is the sum of per-layer batched kernel times (layer-serial,
-/// like network_latency_ms), and queries/sec follows directly.
-struct ServingThroughput {
-  std::size_t batch_size = 0;
-  double dense_ms = 0.0;   ///< whole-net batch latency, dense kernels
-  double tasd_ms = 0.0;    ///< same with configured layers on TASD batch
-  double dense_qps = 0.0;  ///< batch_size / dense seconds
-  double tasd_qps = 0.0;   ///< batch_size / TASD seconds
-};
-
 /// How compile() binds each layer's kernels.
 enum class KernelPolicy {
   /// One network-wide binding from the kernel-name options below
@@ -161,8 +149,8 @@ struct CompileOptions {
   KernelPolicy kernel_policy = KernelPolicy::kStatic;
   /// Batch tuning workload: this many query_cols-wide right-hand sides
   /// per timed batch call (must be >= 1 under kAutotune). Match it to the
-  /// serving batch size the artifact will see; 16 is the knee of the
-  /// batching curve in BENCH_serving.json.
+  /// serving batch size the artifact will see (perfbench's
+  /// r34-artifact-b16 workload serves batches of 16).
   std::size_t autotune_batch_hint = 16;
   /// Opt-in activation guard: run()/run_batch() reject NaN/Inf inputs
   /// with a tasd::Error (kInvalidArgument) naming the offending batch
@@ -306,12 +294,6 @@ class CompiledNetwork {
   /// at the compile-time n_divisor shrink: the Fig. 16 per-layer report.
   /// Feed the result to conversion_order() / network_latency_ms().
   [[nodiscard]] std::vector<LayerTiming> measure() const;
-
-  /// Measure dense vs TASD serving throughput (queries/sec) at each
-  /// batch size, query_cols columns per query. One entry per batch size,
-  /// in order. Every batch size reuses the prewarmed plans.
-  [[nodiscard]] std::vector<ServingThroughput> serving_throughput(
-      const std::vector<std::size_t>& batch_sizes = {1, 4, 16, 64}) const;
 
   /// The network-wide execution policy (the artifact's pool binding and
   /// resolved kernel-name options) — what measure() and the dense-vs-

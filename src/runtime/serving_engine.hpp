@@ -1,6 +1,6 @@
 // Fault-tolerant dynamic-batching serving front-end over CompiledNetwork
-// — the request path that cashes in the batched kernels' throughput
-// (BENCH_serving.json: batch-16 TASD ≈ 11–12x batch-1) for real traffic,
+// — the request path that cashes in the batched kernels' throughput for
+// real traffic (perfbench's decode-serve workloads drive it open loop),
 // hardened so every failure is contained to the request that caused it.
 //
 // Shape: producers submit(model, layer, input[, deadline]) from any

@@ -58,9 +58,9 @@ struct TasderCompiled {
 /// structured kernels over prewarmed plans; layers left dense (including
 /// all layers under TASD-A, a dynamic activation transformation with no
 /// static kernel to bind) bind the dense kernel. The artifact is ready
-/// for run()/run_batch()/measure()/serving_throughput() with zero
-/// further decompositions. `measure_positions` sets every layer's
-/// measurement width (models don't pin activation widths statically).
+/// for run()/run_batch()/measure() with zero further decompositions.
+/// `measure_positions` sets every layer's measurement width (models
+/// don't pin activation widths statically).
 TasderCompiled compile(dnn::Model& model, const HwProfile& hw,
                        const dnn::EvalSet& calib, const dnn::EvalSet& eval,
                        const std::vector<Index>& reference,

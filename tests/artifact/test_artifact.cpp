@@ -262,6 +262,33 @@ TEST(Artifact, TruncationIsInternal) {
   }
 }
 
+TEST(Artifact, WrappingTocOffsetIsInternal) {
+  // The header carries no CRC, so a TOC offset chosen to make
+  // toc_offset + toc_bytes wrap past 2^64 back into the file must be
+  // refused before the TOC CRC reads anything — by both entry points.
+  TempPath tmp("tasd_wrap.tasdart");
+  const auto clean = saved_bytes(tmp);
+  struct Patch {
+    std::uint32_t layer_count;
+    std::uint64_t toc_offset;
+  };
+  const std::uint64_t all_ones_toc =
+      std::uint64_t{0xFFFFFFFFu} * artifact::kTocEntryBytes;
+  for (const Patch p : {Patch{0xFFFFFFFFu, 0 - all_ones_toc + 64},
+                        Patch{1u, 0 - std::uint64_t{16}}}) {
+    auto bytes = clean;
+    patch_u32(bytes, artifact::kHeaderLayerCountOffset, p.layer_count);
+    patch_u64(bytes, artifact::kHeaderTocOffsetOffset, p.toc_offset);
+    io::write_file(tmp.path, bytes);
+    EXPECT_EQ(failure_code([&] { (void)load_artifact(tmp.path, {}); }),
+              Error::Code::kInternal)
+        << "layer_count " << p.layer_count;
+    EXPECT_EQ(failure_code([&] { (void)inspect_artifact(tmp.path); }),
+              Error::Code::kInternal)
+        << "layer_count " << p.layer_count;
+  }
+}
+
 TEST(Artifact, FingerprintMismatchIsInternal) {
   // Re-point layer 0's TOC entry at a fingerprint that does not hash its
   // weight, fixing up the TOC CRC so only the fingerprint gate can fire:

@@ -146,14 +146,24 @@ TEST(Autotune, WallClockTuningChoosesTheTableMinimum) {
   // No hook installed: real micro-bench timings. The absolute numbers
   // are noisy on CI, but the invariants are not — the chosen kernel is
   // the argmin of its own candidate table, every candidate is a
-  // registered name, and timings are positive.
+  // registered name, timings are positive, and the static binding
+  // (best_*()) is one of the candidates. The first and the last make
+  // "chosen never slower than static" hold by construction.
   const auto engine =
       compile(two_layer_net(), mixed_configs(), autotune_opt());
   ASSERT_TRUE(engine.tuning().has_value());
   for (const LayerTuning& lt : engine.tuning()->layers) {
+    const auto find_kernel = [](const std::vector<TuneCandidate>& table,
+                                const std::string& kernel) {
+      return std::find_if(
+          table.begin(), table.end(),
+          [&](const TuneCandidate& c) { return c.kernel == kernel; });
+    };
+    const auto& d = GemmDispatch::instance();
+    const auto registry = lt.nm ? d.nm_kernels() : d.dense_kernels();
+    const std::string static_choice = lt.nm ? d.best_nm() : d.best_dense();
     const auto check = [&](const std::vector<TuneCandidate>& table,
-                           const std::string& chosen,
-                           const std::vector<std::string>& registry) {
+                           const std::string& chosen) {
       ASSERT_FALSE(table.empty());
       double best = table.front().ms;
       for (const TuneCandidate& c : table) {
@@ -161,16 +171,15 @@ TEST(Autotune, WallClockTuningChoosesTheTableMinimum) {
         EXPECT_TRUE(contains(registry, c.kernel)) << c.kernel;
         best = std::min(best, c.ms);
       }
-      const auto it =
-          std::find_if(table.begin(), table.end(),
-                       [&](const TuneCandidate& c) { return c.kernel == chosen; });
+      const auto it = find_kernel(table, chosen);
       ASSERT_NE(it, table.end()) << chosen;
       EXPECT_EQ(it->ms, best) << lt.layer;
+      const auto st = find_kernel(table, static_choice);
+      ASSERT_NE(st, table.end()) << lt.layer << ": " << static_choice;
+      EXPECT_LE(it->ms, st->ms) << lt.layer;
     };
-    const auto& d = GemmDispatch::instance();
-    const auto registry = lt.nm ? d.nm_kernels() : d.dense_kernels();
-    check(lt.single, lt.chosen_single, registry);
-    check(lt.batch, lt.chosen_batch, registry);
+    check(lt.single, lt.chosen_single);
+    check(lt.batch, lt.chosen_batch);
   }
 }
 

@@ -191,7 +191,6 @@ TEST(CompiledNetwork, RepeatedRunsPerformZeroAdditionalDecompositions) {
     (void)engine.run_batch(0, bs);
   }
   (void)engine.measure();
-  (void)engine.serving_throughput({1, 2});
   const auto after = plan_cache().stats();
   EXPECT_EQ(after.decompositions, before.decompositions)
       << "executing a compiled artifact must never decompose";
@@ -244,24 +243,6 @@ TEST(CompiledNetwork, MeasureAppliesNDivisorShrink) {
       compile(net, {std::nullopt, std::nullopt}, opt).measure();
   EXPECT_EQ(timings[0].n, 6u);
   EXPECT_EQ(timings[1].n, 13u);
-}
-
-TEST(CompiledNetwork, ServingThroughputMeasuresEveryBatchSize) {
-  const auto net = tiny_net();
-  CompileOptions opt;
-  opt.measure.repeats = 1;
-  const auto engine = compile(net, mixed_configs(), opt);
-  const auto results = engine.serving_throughput({1, 3});
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].batch_size, 1u);
-  EXPECT_EQ(results[1].batch_size, 3u);
-  for (const auto& r : results) {
-    EXPECT_GT(r.dense_ms, 0.0);
-    EXPECT_GT(r.tasd_ms, 0.0);
-    EXPECT_GT(r.dense_qps, 0.0);
-    EXPECT_GT(r.tasd_qps, 0.0);
-  }
-  EXPECT_THROW(engine.serving_throughput({0}), Error);
 }
 
 TEST(CompiledNetwork, RunValidatesShapesAndIndices) {

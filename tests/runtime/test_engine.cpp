@@ -48,11 +48,6 @@ TEST(Engine, MeasuresAllLayers) {
   EXPECT_EQ(timings[1].tasd_ms, 0.0);
 }
 
-TEST(Engine, ConfigListMustAlign) {
-  const auto net = tiny_net();
-  EXPECT_THROW(compile(net, {std::nullopt}, {}), Error);
-}
-
 TEST(Engine, NetworkLatencyComposition) {
   std::vector<LayerTiming> timings(3);
   for (std::size_t i = 0; i < 3; ++i) {
@@ -207,30 +202,6 @@ TEST(Engine, NDivisorRoundsAndSkipsTinyLayers) {
       compile(net, {std::nullopt, std::nullopt}, opt).measure();
   EXPECT_EQ(edge[0].n, 7u);
   EXPECT_EQ(edge[1].n, 7u);
-}
-
-TEST(Engine, ServingThroughputMeasuresEveryBatchSize) {
-  const auto net = tiny_net();
-  CompileOptions opt;
-  const std::vector<std::size_t> batch_sizes = {1, 3};
-  opt.measure.repeats = 1;
-  const std::vector<std::optional<TasdConfig>> cfgs{
-      TasdConfig::parse("2:4"), std::nullopt};
-
-  const auto before = plan_cache().stats();
-  const auto results = compile(net, cfgs, opt).serving_throughput(batch_sizes);
-  const auto after = plan_cache().stats();
-
-  ASSERT_EQ(results.size(), 2u);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].batch_size, batch_sizes[i]);
-    EXPECT_GT(results[i].dense_ms, 0.0);
-    EXPECT_GT(results[i].tasd_ms, 0.0);
-    EXPECT_GT(results[i].dense_qps, 0.0);
-    EXPECT_GT(results[i].tasd_qps, 0.0);
-  }
-  // One plan for the single configured layer serves both batch sizes.
-  EXPECT_LE(after.decompositions, before.decompositions + 1);
 }
 
 TEST(Engine, MonotoneSpeedupInConvertedLayers) {
