@@ -88,35 +88,6 @@ void write_section(const CompiledNetwork::BoundLayer& l, io::ByteWriter& w) {
   }
 }
 
-/// Serialize a TuningResult into `w` (the optional trailing tuning
-/// section). Strings are u32-length-prefixed and padded to 8 bytes so
-/// the fixed-width fields keep their natural alignment.
-void write_tuning(const TuningResult& tuning, io::ByteWriter& w) {
-  const auto put_string = [&w](const std::string& s) {
-    w.u32(static_cast<std::uint32_t>(s.size()));
-    w.bytes(s.data(), s.size());
-    w.pad_to(8);
-  };
-  const auto put_table = [&](const std::vector<TuneCandidate>& table) {
-    w.u64(table.size());
-    for (const auto& c : table) {
-      put_string(c.kernel);
-      w.f64(c.ms);
-    }
-  };
-  put_string(tuning.host_signature);
-  w.u64(tuning.layers.size());
-  for (const auto& l : tuning.layers) {
-    put_string(l.layer);
-    w.u32(l.nm ? 1 : 0);
-    w.u32(0);  // reserved; keeps the candidate counts 8-aligned
-    put_table(l.single);
-    put_string(l.chosen_single);
-    put_table(l.batch);
-    put_string(l.chosen_batch);
-  }
-}
-
 // ------------------------------------------------------------- reading
 
 struct TocEntry {
@@ -130,9 +101,6 @@ struct TocEntry {
 struct ParsedToc {
   std::string name;
   std::vector<TocEntry> entries;
-  std::uint32_t tuning_crc = 0;
-  std::uint64_t tuning_offset = 0;  ///< 0 = no tuning section
-  std::uint64_t tuning_size = 0;
 };
 
 /// Validate magic/version/header/TOC per the failure contract in
@@ -166,9 +134,8 @@ ParsedToc parse_header_and_toc(std::span<const unsigned char> bytes,
   const std::uint64_t file_size = header.u64();
   const std::uint64_t toc_offset = header.u64();
   const std::uint32_t toc_crc = header.u32();
-  const std::uint32_t tuning_crc = header.u32();
-  const std::uint64_t tuning_offset = header.u64();
-  const std::uint64_t tuning_size = header.u64();
+  // Bytes [44, 64) are reserved: ignored here, as is anything after the
+  // last section.
 
   if (file_size != bytes.size())
     fail_corrupt(path, "file is " + std::to_string(bytes.size()) +
@@ -180,22 +147,6 @@ ParsedToc parse_header_and_toc(std::span<const unsigned char> bytes,
   toc.name.assign(
       reinterpret_cast<const char*>(bytes.data()) + artifact::kHeaderBytes,
       name_len);
-  // Tuning section bounds. Zero offset+size (what pre-tuning writers
-  // left in the reserved bytes) means absent; anything half-present or
-  // out of bounds means the header lies.
-  toc.tuning_crc = tuning_crc;
-  toc.tuning_offset = tuning_offset;
-  toc.tuning_size = tuning_size;
-  if (tuning_offset == 0 && tuning_size != 0)
-    fail_corrupt(path, "tuning section has a size but no offset");
-  if (tuning_offset != 0) {
-    if (tuning_size == 0)
-      fail_corrupt(path, "tuning section has an offset but no size");
-    if (tuning_offset < artifact::kHeaderBytes ||
-        tuning_offset + tuning_size < tuning_offset ||
-        tuning_offset + tuning_size > bytes.size())
-      fail_corrupt(path, "tuning section extends past the file");
-  }
 
   const std::uint64_t toc_bytes =
       std::uint64_t{layer_count} * artifact::kTocEntryBytes;
@@ -387,75 +338,6 @@ detail::PreboundLayer read_section(std::span<const unsigned char> bytes,
   return l;
 }
 
-/// Deserialize the tuning section (CRC already verified by the caller).
-/// Throws kInternal on any structural inconsistency — including a chosen
-/// kernel name missing from its own candidate table, the "silent
-/// mis-binding" a corrupted section must never cause. Whether the result
-/// *transfers* to this host (signature, registered kernels) is decided
-/// later by detail::apply_tuning, not here.
-TuningResult read_tuning(std::span<const unsigned char> bytes,
-                         std::uint32_t layer_count, const std::string& path) {
-  io::ByteReader r(bytes, "artifact '" + path + "' tuning section");
-  const auto get_string = [&](const char* what) {
-    const std::uint32_t len = r.u32();
-    if (len > 4096)
-      fail_corrupt(path, "tuning section claims an implausible " +
-                             std::string(what) + " length");
-    std::string s(len, '\0');
-    r.bytes(s.data(), len);
-    r.skip_pad(8);
-    return s;
-  };
-  const auto get_table = [&](const char* what) {
-    const std::uint64_t count = r.u64();
-    if (count > 4096)
-      fail_corrupt(path, "tuning section claims an implausible " +
-                             std::string(what) + " candidate count");
-    std::vector<TuneCandidate> table;
-    table.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      TuneCandidate c;
-      c.kernel = get_string("candidate kernel name");
-      c.ms = r.f64();
-      table.push_back(std::move(c));
-    }
-    return table;
-  };
-  const auto chosen_in = [&](const std::vector<TuneCandidate>& table,
-                             const std::string& chosen) {
-    for (const auto& c : table)
-      if (c.kernel == chosen) return true;
-    return false;
-  };
-
-  TuningResult tuning;
-  tuning.host_signature = get_string("host signature");
-  const std::uint64_t layers = r.u64();
-  if (layers != layer_count)
-    fail_corrupt(path, "tuning section covers " + std::to_string(layers) +
-                           " layers, the artifact has " +
-                           std::to_string(layer_count));
-  tuning.layers.reserve(layers);
-  for (std::uint64_t i = 0; i < layers; ++i) {
-    LayerTuning lt;
-    lt.layer = get_string("layer name");
-    lt.nm = r.u32() != 0;
-    (void)r.u32();  // reserved
-    lt.single = get_table("single-RHS");
-    lt.chosen_single = get_string("chosen kernel name");
-    lt.batch = get_table("batch");
-    lt.chosen_batch = get_string("chosen kernel name");
-    if (!chosen_in(lt.single, lt.chosen_single) ||
-        !chosen_in(lt.batch, lt.chosen_batch))
-      fail_corrupt(path, "tuning section layer " + std::to_string(i) +
-                             " chose a kernel outside its candidate table");
-    tuning.layers.push_back(std::move(lt));
-  }
-  if (r.remaining() != 0)
-    fail_corrupt(path, "tuning section has trailing bytes");
-  return tuning;
-}
-
 }  // namespace
 
 void save_artifact(const CompiledNetwork& net, const std::string& path) {
@@ -499,16 +381,6 @@ void save_artifact(const CompiledNetwork& net, const std::string& path) {
   }
   if (sections.empty()) file_size = toc_offset + toc_bytes;
 
-  // Optional trailing tuning section (autotuned artifacts only): aligned
-  // like the layer sections, CRC'd, located by the header.
-  io::ByteWriter tuning;
-  std::size_t tuning_offset = 0;
-  if (net.tuning()) {
-    write_tuning(*net.tuning(), tuning);
-    tuning_offset = align_up(file_size, artifact::kSectionAlign);
-    file_size = tuning_offset + tuning.data().size();
-  }
-
   io::ByteWriter head;
   head.bytes(artifact::kMagic, sizeof artifact::kMagic);
   head.u32(artifact::kVersion);
@@ -518,11 +390,7 @@ void save_artifact(const CompiledNetwork& net, const std::string& path) {
   head.u64(file_size);
   head.u64(toc_offset);
   head.u32(crc32(toc.data().data(), toc.data().size()));
-  head.u32(net.tuning() ? crc32(tuning.data().data(), tuning.data().size())
-                        : 0);
-  head.u64(tuning_offset);
-  head.u64(net.tuning() ? tuning.data().size() : 0);
-  head.pad_to(artifact::kHeaderBytes);
+  head.pad_to(artifact::kHeaderBytes);  // reserved bytes, zeroed
   head.bytes(name.data(), name.size());
   head.pad_to(artifact::kSectionAlign);  // through the name region
   head.bytes(toc.data().data(), toc.data().size());
@@ -548,10 +416,6 @@ void save_artifact(const CompiledNetwork& net, const std::string& path) {
   for (const auto& section : sections) {
     pad_to(align_up(written, artifact::kSectionAlign));
     emit(section.data().data(), section.data().size());
-  }
-  if (net.tuning()) {
-    pad_to(tuning_offset);
-    emit(tuning.data().data(), tuning.data().size());
   }
   out.flush();
   if (!out.good())
@@ -588,21 +452,7 @@ CompiledNetwork load_artifact(const std::string& path,
       l.plan = plan_cache().insert_preloaded(l.weight, l.plan);
     layers.push_back(std::move(l));
   }
-  // Deserialize the tuning section (when present and CRC-clean) and let
-  // assemble_network decide whether it transfers to this host: binding
-  // restored on a signature match, best_*() re-resolution (or a fresh
-  // autotune under kAutotune) otherwise. Either way: zero decompositions.
-  std::optional<TuningResult> tuning;
-  if (toc.tuning_offset != 0) {
-    const auto section = std::span<const unsigned char>(bytes).subspan(
-        toc.tuning_offset, toc.tuning_size);
-    if (crc32(section.data(), section.size()) != toc.tuning_crc)
-      fail_corrupt(path, "tuning section CRC mismatch");
-    tuning = read_tuning(
-        section, static_cast<std::uint32_t>(toc.entries.size()), path);
-  }
-  return detail::assemble_network(toc.name, std::move(layers), opt,
-                                  tuning ? &*tuning : nullptr);
+  return detail::assemble_network(toc.name, std::move(layers), opt);
 }
 
 ArtifactInfo inspect_artifact(const std::string& path) {
@@ -612,8 +462,6 @@ ArtifactInfo inspect_artifact(const std::string& path) {
   info.version = artifact::kVersion;
   info.name = toc.name;
   info.file_bytes = bytes.size();
-  info.has_tuning = toc.tuning_offset != 0;
-  info.tuning_bytes = toc.tuning_size;
   info.layers.reserve(toc.entries.size());
   for (const TocEntry& e : toc.entries) {
     ArtifactLayerInfo l;

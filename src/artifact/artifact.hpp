@@ -13,16 +13,10 @@
 // PlanCache (so later rt::compile() calls on the same weights hit too)
 // and assembles a fully bound CompiledNetwork.
 //
-// Kernel bindings: a statically-bound network stores no kernel names —
-// they re-resolve through GemmDispatch::best_*() on the loading host, so
-// an artifact saved on an AVX2 machine binds the scalar kernels on a
-// machine without AVX2 and executes identically (term buffers are
-// kernel-independent). An *autotuned* network additionally stores its
-// TuningResult in a trailing tuning section, keyed by the measuring
-// host's CPU signature: load restores the per-layer binding verbatim
-// when tasd::cpu_signature() matches and falls back to the best_*()
-// re-resolution (or re-tunes, when loaded with kAutotune) when it
-// doesn't — never a stale binding from foreign hardware.
+// Kernel bindings: an artifact stores no kernel names — they re-resolve
+// through GemmDispatch::best_*() on the loading host, so an artifact
+// saved on an AVX2 machine binds the scalar kernels on a machine without
+// AVX2 and executes identically (term buffers are kernel-independent).
 //
 // Failure contract (asserted by tests/artifact/):
 //  * wrong magic or unsupported version → Error(kFailedPrecondition)
@@ -76,8 +70,6 @@ struct ArtifactInfo {
   std::uint32_t version = 0;
   std::string name;  ///< the compiled network's name
   std::uint64_t file_bytes = 0;
-  bool has_tuning = false;  ///< carries a serialized TuningResult
-  std::uint64_t tuning_bytes = 0;
   std::vector<ArtifactLayerInfo> layers;
 };
 

@@ -10,10 +10,9 @@
 //   sections one per layer, each 64-byte aligned, individually CRC'd
 //            (the TOC stores offset/size/CRC and the weight's 128-bit
 //            content fingerprint)
-//   tuning   optional trailing section, 64-byte aligned, CRC'd (the
-//            header stores its crc/offset/size in the former reserved
-//            bytes): the serialized per-layer TuningResult plus the
-//            host CPU signature it was measured under
+//
+// Header bytes [44, 64) are reserved: the writer zeroes them and the
+// reader ignores them, together with any bytes after the last section.
 //
 // The fixed-width, aligned layout is deliberately mmap-friendly: every
 // integer field sits at a natural alignment, sections start on cache-
@@ -59,13 +58,7 @@ inline constexpr std::size_t kHeaderNameLenOffset = 20;      // u32
 inline constexpr std::size_t kHeaderFileSizeOffset = 24;     // u64
 inline constexpr std::size_t kHeaderTocOffsetOffset = 32;    // u64
 inline constexpr std::size_t kHeaderTocCrcOffset = 40;       // u32
-// Optional tuning section (per-layer autotuning results; docs/artifact.md
-// § Tuning section). offset == 0 and size == 0 — what v1 writers put in
-// these then-reserved bytes — means "absent", so pre-tuning files load
-// unchanged and pre-tuning readers ignore the trailing section.
-inline constexpr std::size_t kHeaderTuningCrcOffset = 44;     // u32
-inline constexpr std::size_t kHeaderTuningOffsetOffset = 48;  // u64
-inline constexpr std::size_t kHeaderTuningSizeOffset = 56;    // u64
+// [44, 64): reserved, written as zero, ignored on read.
 
 // TOC entry field offsets, relative to the entry start.
 inline constexpr std::size_t kTocFpLoOffset = 0;           // u64

@@ -86,12 +86,8 @@ bool avx2_available() {
 }
 
 std::string cpu_signature() {
-  if (const char* v = std::getenv("TASD_CPU_SIGNATURE");
-      v != nullptr && *v != '\0')
-    return v;
-  // The env disable folds into the signature because it changes the
-  // candidate pool a tuning run measured over — an artifact tuned with
-  // AVX2 disabled must not restore onto the same CPU with it enabled.
+  // The env disable folds into the signature because it changes which
+  // kernels "auto" binds on the same CPU.
   static const std::string brand = host_brand();
   std::string sig = brand;
   sig += "|avx2=";

@@ -42,15 +42,12 @@ bool avx2_disabled_by_env();
 /// construction.
 bool avx2_available();
 
-/// Identity of this host for tuning-result validity: the CPUID brand
+/// Identity of this host for the benchmark's run record: the CPUID brand
 /// string plus the *effective* AVX2 kernel availability (after the env
 /// disable), e.g.
 ///   "Intel(R) Xeon(R) ... CPU @ 2.20GHz|avx2=1".
-/// A TuningResult measured under one signature is only trusted on a host
-/// reporting the same string — the candidate pool and relative kernel
-/// speeds are functions of exactly these inputs. The TASD_CPU_SIGNATURE
-/// environment variable overrides the computed value (read on every
-/// call), the test seam for host-mismatch coverage.
+/// Two runs are only comparable when they report the same string: the
+/// registered kernel pool and its speeds are functions of these inputs.
 std::string cpu_signature();
 
 }  // namespace tasd

@@ -30,7 +30,7 @@ class Timer {
 
 /// Best (minimum) wall-clock milliseconds of `fn` over `repeats` timed
 /// runs, after `warmup` untimed runs — the one measurement rule the
-/// engine's measure(), the autotuner and every bench share. The
+/// engine's measure() and every bench share. The
 /// warm-up run faults code and data (instruction cache, branch
 /// predictors, lazily-allocated output buffers, thread-pool wake-up)
 /// out of the first *timed* run, so single-digit-repeat measurements —

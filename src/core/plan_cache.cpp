@@ -136,6 +136,16 @@ struct PlanCache::Impl {
   LruList lru TASD_GUARDED_BY(mutex);
   std::unordered_map<PlanKey, LruList::iterator, PlanKeyHash> index
       TASD_GUARDED_BY(mutex);
+
+  /// Drop least-recently-used plans until the cache fits its capacity,
+  /// counting each as an eviction.
+  void evict_over_capacity() TASD_REQUIRES(mutex) {
+    while (lru.size() > capacity) {
+      index.erase(lru.back().first);
+      lru.pop_back();
+      ++stats.evictions;
+    }
+  }
 };
 
 PlanCache::PlanCache(std::size_t capacity) : impl_(new Impl) {
@@ -185,11 +195,7 @@ std::shared_ptr<const DecompositionPlan> PlanCache::get_or_build(
     return it->second->second;
   impl_->lru.emplace_front(key, plan);
   impl_->index.emplace(std::move(key), impl_->lru.begin());
-  while (impl_->lru.size() > impl_->capacity) {
-    impl_->index.erase(impl_->lru.back().first);
-    impl_->lru.pop_back();
-    ++impl_->stats.evictions;
-  }
+  impl_->evict_over_capacity();
   return plan;
 }
 
@@ -211,11 +217,7 @@ std::shared_ptr<const DecompositionPlan> PlanCache::insert_preloaded(
   }
   impl_->lru.emplace_front(key, plan);
   impl_->index.emplace(std::move(key), impl_->lru.begin());
-  while (impl_->lru.size() > impl_->capacity) {
-    impl_->index.erase(impl_->lru.back().first);
-    impl_->lru.pop_back();
-    ++impl_->stats.evictions;
-  }
+  impl_->evict_over_capacity();
   return plan;
 }
 
@@ -238,11 +240,7 @@ void PlanCache::clear() {
 void PlanCache::set_capacity(std::size_t capacity) {
   MutexLock lock(impl_->mutex);
   impl_->capacity = std::max<std::size_t>(1, capacity);
-  while (impl_->lru.size() > impl_->capacity) {
-    impl_->index.erase(impl_->lru.back().first);
-    impl_->lru.pop_back();
-    ++impl_->stats.evictions;
-  }
+  impl_->evict_over_capacity();
 }
 
 PlanCache& plan_cache() { return PlanCache::instance(); }

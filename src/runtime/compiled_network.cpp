@@ -45,10 +45,18 @@ std::vector<std::size_t> conversion_order(
   return order;
 }
 
+namespace {
+
+/// The shrunk measurement width measure() uses for a layer with `n`
+/// full-scale positions under a given n_divisor: rounded division with
+/// a floor of min(n, n_divisor - 1) — monotone in n, never zero (see
+/// CompileOptions::n_divisor).
 Index measured_n(Index n, Index n_divisor) {
   return std::max<Index>({Index{1}, (n + n_divisor / 2) / n_divisor,
                           std::min<Index>(n, n_divisor - 1)});
 }
+
+}  // namespace
 
 const CompiledNetwork::BoundLayer& CompiledNetwork::layer(
     std::size_t i) const {
@@ -124,10 +132,7 @@ MatrixF CompiledNetwork::run(std::size_t layer_index,
   const BoundLayer& l = layer(layer_index);
   validate_input(layer_index, input);
   fault::inject("rt.run", l.name);
-  // Only the slot the layer executes takes its binding; the other keeps
-  // the network-wide name (reached only by measure()'s comparison).
-  ExecPolicy p = policy();
-  (l.series ? p.nm_kernel : p.dense_kernel) = l.kernel;
+  const ExecPolicy p = policy();
   return l.series ? l.series->multiply(input, p)
                   : dense_gemm(l.weight, input, p);
 }
@@ -138,8 +143,7 @@ std::vector<MatrixF> CompiledNetwork::run_batch(
   for (std::size_t i = 0; i < inputs.size(); ++i)
     validate_input(layer_index, inputs[i], i);
   fault::inject("rt.run_batch", l.name);
-  ExecPolicy p = policy();
-  (l.series ? p.nm_kernel : p.dense_kernel) = l.batch_kernel;
+  const ExecPolicy p = policy();
   return l.series ? l.series->multiply_batch(inputs, p)
                   : dense_gemm_batch(l.weight, inputs, p);
 }
@@ -228,14 +232,10 @@ namespace detail {
 
 CompiledNetwork assemble_network(std::string name,
                                  std::vector<PreboundLayer> layers,
-                                 const CompileOptions& opt,
-                                 const TuningResult* restored) {
+                                 const CompileOptions& opt) {
   TASD_CHECK_MSG(opt.n_divisor >= 1, "n_divisor must be >= 1");
   TASD_CHECK_MSG(opt.query_cols >= 1, "query_cols must be >= 1");
   TASD_CHECK_MSG(opt.measure.repeats >= 1, "measure.repeats must be >= 1");
-  TASD_CHECK_MSG(opt.kernel_policy != KernelPolicy::kAutotune ||
-                     opt.autotune_batch_hint >= 1,
-                 "autotune_batch_hint must be >= 1 under kAutotune");
   // Kernel binding happens now, not at first execution: "auto" resolves
   // to the registry's best kernel (AVX2 when available, scalar
   // otherwise), and every selected name is looked up so a misspelled or
@@ -290,21 +290,10 @@ CompiledNetwork assemble_network(std::string name,
       l.kept_nnz_fraction = static_cast<double>(l.series->nnz()) /
                             static_cast<double>(l.weight.size());
     }
-    // Per-layer binding starts at the network-wide resolution; the
-    // tuning paths below rebind it per layer.
     l.kernel = l.series ? cn.opt_.nm_kernel : cn.opt_.dense_kernel;
     l.batch_kernel = l.kernel;
     cn.layers_.push_back(std::move(l));
   }
-  // Binding priority: a restored tuning that transfers to this host
-  // (load path, zero re-measurement) > a fresh autotune when the caller
-  // asked for one > the static resolution above. A restored result that
-  // does NOT transfer is dropped, not partially applied — on a kStatic
-  // load that is exactly the "fall back to best_*() re-resolution"
-  // contract of docs/artifact.md.
-  if (restored != nullptr && apply_tuning(cn, *restored)) return cn;
-  if (cn.opt_.kernel_policy == KernelPolicy::kAutotune)
-    cn.tuning_ = run_autotune(cn);
   return cn;
 }
 

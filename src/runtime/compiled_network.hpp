@@ -38,13 +38,12 @@
 #include "core/plan_cache.hpp"
 #include "dnn/layer_binding.hpp"
 #include "dnn/workloads.hpp"
-#include "runtime/autotune.hpp"
 #include "runtime/nm_gemm.hpp"
 
 namespace tasd::rt {
 
 /// Measurement knobs shared by every timed execution surface: the
-/// per-layer measure(), the autotuner, and compile itself.
+/// per-layer measure() and compile itself.
 struct MeasureOptions {
   /// Timing repetitions; the minimum is reported.
   int repeats = 3;
@@ -101,25 +100,6 @@ double network_latency_ms(const std::vector<LayerTiming>& timings,
 std::vector<std::size_t> conversion_order(
     const std::vector<LayerTiming>& timings);
 
-/// The shrunk measurement width measure() uses for a layer with `n`
-/// full-scale positions under a given n_divisor: rounded division with
-/// a floor of min(n, n_divisor - 1) — monotone in n, never zero (see
-/// CompileOptions::n_divisor). Shared with the autotuner
-/// (runtime/autotune.hpp) so it times candidates at the same width.
-Index measured_n(Index n, Index n_divisor);
-
-/// How compile() binds each layer's kernels.
-enum class KernelPolicy {
-  /// One network-wide binding from the kernel-name options below
-  /// ("auto" → GemmDispatch::best_*()). Free; no measurement.
-  kStatic,
-  /// Micro-bench every registered candidate per layer on the compiling
-  /// host and bind the per-layer winner, recording a TuningResult on the
-  /// artifact (runtime/autotune.hpp). Costs repeats x candidates x
-  /// layers timed kernel runs at compile time.
-  kAutotune,
-};
-
 /// Everything fixed at compile time: measurement knobs, the measurement
 /// shape shrink, the serving query width, and kernel selection.
 struct CompileOptions {
@@ -133,25 +113,18 @@ struct CompileOptions {
   /// n=1 would distort the dense/TASD ratio Fig. 16 depends on.
   Index n_divisor = 4;
   /// Right-hand-side columns of one serving query (1 = GEMV-style
-  /// serving, the latency-bound case batching amortizes).
+  /// serving, the latency-bound case batching amortizes). Validated
+  /// (>= 1); no kernel selection reads it.
   Index query_cols = 1;
   /// Kernel selection by registry name, one per operand kind; each binds
-  /// both single-RHS and batch calls. "auto" (the default) resolves at
-  /// compile() time through GemmDispatch::best_*() — the AVX2/FMA kernel
-  /// when runtime detection registered it, the scalar tiled kernel
-  /// otherwise — and the artifact's policy() reports the resolved name.
-  /// Empty = the GemmDispatch registry defaults (always scalar).
+  /// both single-RHS and batch calls of every layer. "auto" (the
+  /// default) resolves at compile() time through GemmDispatch::best_*()
+  /// — the AVX2/FMA kernel when runtime detection registered it, the
+  /// scalar tiled kernel otherwise — and the artifact's policy() reports
+  /// the resolved name. Empty = the GemmDispatch registry defaults
+  /// (always scalar).
   std::string dense_kernel = "auto";
   std::string nm_kernel = "auto";
-  /// kAutotune measures candidates per layer and overrides the
-  /// network-wide names above with each layer's winners (the names still
-  /// bind measure()'s dense-vs-TASD comparison and the tuning fallback).
-  KernelPolicy kernel_policy = KernelPolicy::kStatic;
-  /// Batch tuning workload: this many query_cols-wide right-hand sides
-  /// per timed batch call (must be >= 1 under kAutotune). Match it to the
-  /// serving batch size the artifact will see (perfbench's
-  /// r34-artifact-b16 workload serves batches of 16).
-  std::size_t autotune_batch_hint = 16;
   /// Opt-in activation guard: run()/run_batch() reject NaN/Inf inputs
   /// with a tasd::Error (kInvalidArgument) naming the offending batch
   /// item, instead of silently producing garbage. Costs one pass over
@@ -181,17 +154,12 @@ struct PreboundLayer {
 /// Kernel names resolve through GemmDispatch at assembly time ("auto" →
 /// best_*()), so a deserialized network re-binds the fastest kernels
 /// registered on the *loading* host. This is the single constructor
-/// path behind both rt::compile() and rt::load_artifact().
-///
-/// `restored` is the load path's deserialized TuningResult: when it
-/// transfers to this host (signature match, kernels registered —
-/// detail::apply_tuning) it rebinds the layers without re-measuring;
-/// otherwise the static resolution stands, and opt.kernel_policy ==
-/// kAutotune re-tunes from scratch exactly as a fresh compile would.
+/// path behind both rt::compile() and rt::load_artifact(), and the one
+/// place a kernel is chosen: every layer binds the network-wide
+/// resolution.
 CompiledNetwork assemble_network(std::string name,
                                  std::vector<PreboundLayer> layers,
-                                 const CompileOptions& opt,
-                                 const TuningResult* restored = nullptr);
+                                 const CompileOptions& opt);
 
 }  // namespace detail
 
@@ -212,11 +180,10 @@ class CompiledNetwork {
     /// Bound structured kernel; engaged exactly when config is.
     std::optional<TasdSeriesGemm> series;
     double kept_nnz_fraction = 0.0;  ///< stored values / total positions
-    /// Per-layer kernel binding from the layer's one slot (N:M when
-    /// `series` is bound, dense otherwise): `kernel` for run(),
-    /// `batch_kernel` for run_batch(). Initialized to the network-wide
-    /// resolved name; kAutotune and a restored artifact tuning rebind
-    /// them per layer, each measured on its own workload.
+    /// The resolved kernel of the layer's one slot (N:M when `series`
+    /// is bound, dense otherwise): `kernel` for run(), `batch_kernel` for
+    /// run_batch(). Both always equal the network-wide resolution in
+    /// policy(); they are kept per layer so reports can list bindings.
     std::string kernel;
     std::string batch_kernel;
   };
@@ -256,14 +223,14 @@ class CompiledNetwork {
                       std::size_t item = static_cast<std::size_t>(-1)) const;
 
   /// Execute one layer on a dense right-hand side through its bound
-  /// kernel (layer(i).kernel): the TASD series (TasdSeriesGemm::multiply)
+  /// kernel under policy(): the TASD series (TasdSeriesGemm::multiply)
   /// when configured, the dense kernel otherwise. Bit-identical to those
   /// paths at every thread count. `input` must have layer(i).k rows.
   [[nodiscard]] MatrixF run(std::size_t layer_index,
                             const MatrixF& input) const;
 
   /// Execute one layer on a batch of right-hand sides (ragged widths
-  /// allowed) through layer(i).batch_kernel, sharing the layer's one
+  /// allowed) through the same bound kernel, sharing the layer's one
   /// plan across every item. Bit-identical to looping run() over the
   /// items, at every thread count and batch size.
   [[nodiscard]] std::vector<MatrixF> run_batch(
@@ -296,31 +263,19 @@ class CompiledNetwork {
   [[nodiscard]] std::vector<LayerTiming> measure() const;
 
   /// The network-wide execution policy (the artifact's pool binding and
-  /// resolved kernel-name options) — what measure() and the dense-vs-
-  /// TASD comparison paths run under. run()/run_batch() overlay the
-  /// layer's own binding onto the slot it executes.
+  /// resolved kernel-name options) — what run(), run_batch(), measure()
+  /// and the dense-vs-TASD comparison paths all run under.
   [[nodiscard]] ExecPolicy policy() const;
-
-  /// The per-layer tuning record when this artifact was autotuned (at
-  /// compile, or restored from a saved artifact); nullopt for static
-  /// bindings.
-  [[nodiscard]] const std::optional<TuningResult>& tuning() const {
-    return tuning_;
-  }
 
  private:
   friend CompiledNetwork detail::assemble_network(
       std::string name, std::vector<detail::PreboundLayer> layers,
-      const CompileOptions& opt, const TuningResult* restored);
-  friend TuningResult detail::run_autotune(CompiledNetwork& net);
-  friend bool detail::apply_tuning(CompiledNetwork& net,
-                                   const TuningResult& tuning);
+      const CompileOptions& opt);
   CompiledNetwork() = default;
 
   std::string name_;
   CompileOptions opt_;
   std::vector<BoundLayer> layers_;
-  std::optional<TuningResult> tuning_;
   /// Dedicated pool when opt_.measure.num_threads != 0 (unique_ptr so
   /// the ExecPolicy pool pointer survives moves of the artifact).
   std::unique_ptr<ThreadPool> pool_;

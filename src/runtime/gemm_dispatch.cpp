@@ -264,9 +264,8 @@ std::vector<std::string> GemmDispatch::nm_kernels() const {
 }
 
 // The static fallback chain: the AVX2 family when registered, the
-// scalar default otherwise. Per-layer autotuning (runtime/autotune.hpp)
-// refines this by measurement; these remain the kStatic binding and the
-// tuning fallback on a host-signature mismatch.
+// scalar default otherwise — what "auto" resolves to at compile and
+// load time.
 std::string GemmDispatch::best_dense() const {
   MutexLock lock(impl_->mutex);
   return std::string(impl_->dense.contains("dense-avx2") ? "dense-avx2"

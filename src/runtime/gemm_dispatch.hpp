@@ -34,8 +34,8 @@
 // families round differently and agree to float tolerance, not bitwise.
 // best_dense() / best_nm() name the statically-preferred registered
 // kernel of each slot (avx2 > scalar) so callers can auto-select per
-// artifact (CompileOptions "auto"); per-layer autotuning
-// (runtime/autotune.hpp) refines that choice by measurement.
+// artifact (CompileOptions "auto"); every layer of a compiled network
+// binds that one choice.
 #pragma once
 
 #include <functional>

@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "core/plan_cache.hpp"
 #include "dnn/workloads.hpp"
+#include "runtime/gemm_dispatch.hpp"
 #include "tensor/generator.hpp"
 #include "tensor/io.hpp"
 
@@ -52,6 +53,31 @@ dnn::NetworkWorkload tiny_net() {
 std::vector<std::optional<TasdConfig>> mixed_configs() {
   return {TasdConfig::parse("2:4"), TasdConfig::parse("2:8+1:8"),
           std::nullopt};
+}
+
+/// Small on purpose: the whole-file fuzz matrix loads the artifact once
+/// per byte, so the file should stay a few KiB.
+dnn::NetworkWorkload small_net() {
+  dnn::NetworkWorkload net;
+  net.name = "small-artifact";
+  net.sparse_weights = true;
+  dnn::GemmWorkload l1;
+  l1.name = "a";
+  l1.m = 8;
+  l1.k = 16;
+  l1.n = 8;
+  l1.weight_density = 0.4;
+  l1.weight_seed = 9301;
+  dnn::GemmWorkload l2 = l1;
+  l2.name = "b";
+  l2.weight_density = 1.0;
+  l2.weight_seed = 9302;
+  net.layers = {l1, l2};
+  return net;
+}
+
+std::vector<std::optional<TasdConfig>> small_configs() {
+  return {TasdConfig::parse("2:4"), std::nullopt};
 }
 
 /// RAII temp file path (removed on destruction).
@@ -207,6 +233,9 @@ TEST(Artifact, InspectReportsHeaderAndToc) {
   EXPECT_TRUE(info.layers[0].configured);
   EXPECT_TRUE(info.layers[1].configured);
   EXPECT_FALSE(info.layers[2].configured);
+  for (std::size_t b = artifact::kHeaderTocCrcOffset + 4;
+       b < artifact::kHeaderBytes; ++b)
+    EXPECT_EQ(bytes[b], 0) << "reserved header byte " << b;
   for (const auto& l : info.layers) {
     EXPECT_EQ(l.section_offset % artifact::kSectionAlign, 0u);
     EXPECT_GT(l.section_size, 0u);
@@ -286,6 +315,44 @@ TEST(Artifact, WrappingTocOffsetIsInternal) {
     EXPECT_EQ(failure_code([&] { (void)inspect_artifact(tmp.path); }),
               Error::Code::kInternal)
         << "layer_count " << p.layer_count;
+  }
+}
+
+TEST(Artifact, ReservedHeaderBytesAreIgnored) {
+  // Header bytes [44, 64) and bytes past the last section are ignored,
+  // so a file that fills them — as files that carried a trailing
+  // kernel-tuning section did — loads exactly like the clean file: the
+  // static binding, the same outputs, zero decompositions.
+  TempPath tmp("tasd_reserved.tasdart");
+  const auto engine = compile(tiny_net(), mixed_configs(), {});
+  save_artifact(engine, tmp.path);
+  auto bytes = io::read_file(tmp.path);
+  patch_u32(bytes, 44, 0xDEADBEEFu);  // formerly a section CRC
+  patch_u64(bytes, 48, 64);           // formerly its offset
+  patch_u64(bytes, 56, 8);            // formerly its size
+  // Trailing bytes past the last section, inside the claimed file size.
+  bytes.insert(bytes.end(), 24, 0x5A);
+  patch_u64(bytes, artifact::kHeaderFileSizeOffset, bytes.size());
+  io::write_file(tmp.path, bytes);
+
+  plan_cache().clear();  // start cold: a rebuild would show as a miss
+  const auto before = plan_cache().stats();
+  const auto loaded = load_artifact(tmp.path, {});
+  const auto after = plan_cache().stats();
+  EXPECT_EQ(after.decompositions, before.decompositions);
+  EXPECT_EQ(after.misses, before.misses);
+
+  const auto& dispatch = GemmDispatch::instance();
+  Rng rng(9330);
+  ASSERT_EQ(loaded.layer_count(), engine.layer_count());
+  for (std::size_t i = 0; i < loaded.layer_count(); ++i) {
+    const auto& l = loaded.layer(i);
+    const std::string want =
+        l.series ? dispatch.best_nm() : dispatch.best_dense();
+    EXPECT_EQ(l.kernel, want) << "layer " << i;
+    EXPECT_EQ(l.batch_kernel, want) << "layer " << i;
+    const MatrixF x = random_dense(l.k, 5, Dist::kNormalStd1, rng);
+    EXPECT_EQ(loaded.run(i, x), engine.run(i, x)) << "layer " << i;
   }
 }
 
@@ -408,6 +475,58 @@ TEST(Artifact, StructurallyInvalidTermPastTheCrcIsInternal) {
   // The untouched file still loads.
   io::write_file(tmp.path, clean);
   EXPECT_NO_THROW((void)load_artifact(tmp.path, {}));
+}
+
+TEST(Artifact, EveryByteFlipFailsTypedOrLoadsIdentically) {
+  // The fuzz matrix: XOR one byte at a time across the ENTIRE file —
+  // header (reserved bytes included), name, TOC, section payloads and
+  // alignment padding. Each mutation must either throw a typed Error
+  // (kFailedPrecondition when the file no longer identifies as ours,
+  // kInternal for corruption) or load a network whose bindings and
+  // outputs are identical to the pristine one (flips in padding, the
+  // reserved header bytes or non-semantic name bytes) — never a crash,
+  // another exception type, or a silently different network.
+  TempPath tmp("tasd_fuzz.tasdart");
+  CompileOptions opt;
+  opt.measure.use_plan_cache = false;
+  const auto engine = compile(small_net(), small_configs(), opt);
+  save_artifact(engine, tmp.path);
+  const auto pristine = io::read_file(tmp.path);
+
+  Rng rng(9320);
+  const MatrixF probe = random_dense(16, 3, Dist::kNormalStd1, rng);
+  const MatrixF want0 = engine.run(0, probe);
+  const MatrixF want1 = engine.run(1, probe);
+
+  std::size_t typed = 0, benign = 0;
+  for (std::size_t pos = 0; pos < pristine.size(); ++pos) {
+    auto bytes = pristine;
+    bytes[pos] ^= 0xA5;
+    io::write_file(tmp.path, bytes);
+    try {
+      const auto loaded = load_artifact(tmp.path, opt);
+      ++benign;
+      for (std::size_t i = 0; i < loaded.layer_count(); ++i) {
+        ASSERT_EQ(loaded.layer(i).kernel, engine.layer(i).kernel)
+            << "silent re-binding after flipping byte " << pos;
+        ASSERT_EQ(loaded.layer(i).batch_kernel, engine.layer(i).batch_kernel)
+            << "byte " << pos;
+      }
+      ASSERT_EQ(loaded.run(0, probe), want0) << "byte " << pos;
+      ASSERT_EQ(loaded.run(1, probe), want1) << "byte " << pos;
+    } catch (const Error& e) {
+      ++typed;
+      ASSERT_TRUE(e.code() == Error::Code::kFailedPrecondition ||
+                  e.code() == Error::Code::kInternal)
+          << "byte " << pos << ": unexpected code "
+          << static_cast<int>(e.code());
+    }
+    // Any other exception (or a crash) propagates and fails the test.
+  }
+  // CRCs cover all payloads, so the overwhelming majority of flips must
+  // be caught; only padding/reserved/name flips may load.
+  EXPECT_GT(typed, pristine.size() / 2);
+  EXPECT_EQ(typed + benign, pristine.size());
 }
 
 TEST(Artifact, ArtifactBytesCoversWeightsAndPlans) {

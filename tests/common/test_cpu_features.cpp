@@ -75,10 +75,10 @@ TEST(CpuFeatures, CachedAvailabilityMatchesThePolicy) {
 }
 
 TEST(CpuFeatures, SignatureIsStableAndReflectsTheCandidatePool) {
-  // cpu_signature() keys artifact tuning sections: it must be stable
-  // within a process and end in the *effective* AVX2 availability (a
-  // binding tuned with AVX2 on must not transfer to a run with it
-  // disabled — the candidate pool differs).
+  // cpu_signature() is the host identity in the benchmark's run record:
+  // it must be stable within a process and end in the *effective* AVX2
+  // availability (a run with AVX2 disabled binds other kernels on the
+  // same CPU, so its numbers are not comparable to one with it on).
   const std::string a = cpu_signature();
   EXPECT_EQ(a, cpu_signature());
   EXPECT_FALSE(a.empty());
@@ -87,17 +87,6 @@ TEST(CpuFeatures, SignatureIsStableAndReflectsTheCandidatePool) {
   ASSERT_GE(a.size(), avx2_tag.size());
   EXPECT_EQ(a.substr(a.size() - avx2_tag.size()), avx2_tag) << a;
   EXPECT_NE(a.find('|'), std::string::npos) << a;
-}
-
-TEST(CpuFeatures, SignatureEnvOverrideWinsForTesting) {
-  // TASD_CPU_SIGNATURE is the test seam the artifact host-mismatch
-  // tests use: it replaces the probed signature wholesale and is read
-  // per call, so setting/unsetting inside one process works.
-  const std::string real = cpu_signature();
-  setenv("TASD_CPU_SIGNATURE", "some-other-machine|avx2=0", 1);
-  EXPECT_EQ(cpu_signature(), "some-other-machine|avx2=0");
-  unsetenv("TASD_CPU_SIGNATURE");
-  EXPECT_EQ(cpu_signature(), real);
 }
 
 }  // namespace
