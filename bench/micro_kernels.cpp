@@ -1,5 +1,5 @@
 // Kernel microbenchmarks: dense vs N:M-compressed vs TASD-series GEMM
-// across the parallel execution layer's thread counts AND the registered
+// across the parallel execution layer's thread counts AND the table's
 // kernel implementations (scalar tiled vs AVX2/FMA side by side), plus
 // decomposition and plan-cache throughput.
 //
@@ -44,7 +44,7 @@ using namespace tasd;
 
 struct Entry {
   std::string kernel;  ///< operation family: dense_gemm / nm_gemm / ...
-  std::string impl;    ///< GemmDispatch kernel name executing it
+  std::string impl;    ///< kernel-table name of the kernel executing it
   Index m = 0, k = 0, n = 0;
   std::string config;
   double sparsity = 0.0;
@@ -135,15 +135,12 @@ void write_json(const std::string& path, const std::vector<Entry>& entries) {
 }
 
 /// Kernel implementations to sweep for one slot: the scalar parallel
-/// kernel first (it seeds the speedup_vs_scalar baseline), then the AVX2
-/// kernel when the registry has it.
-std::vector<std::string> impls_for(const std::vector<std::string>& registered,
-                                   const std::string& scalar,
-                                   const std::string& simd) {
-  std::vector<std::string> impls{scalar};
-  if (std::find(registered.begin(), registered.end(), simd) !=
-      registered.end())
-    impls.push_back(simd);
+/// kernel first (it seeds the speedup_vs_scalar baseline), then the
+/// table's best kernel (AVX2) when that is a different one.
+template <class Entry>
+std::vector<Entry> impls_for(const Entry& scalar, const Entry& best) {
+  std::vector<Entry> impls{scalar};
+  if (best.fn != scalar.fn) impls.push_back(best);
   return impls;
 }
 
@@ -221,11 +218,10 @@ int main(int argc, char** argv) {
   const std::vector<Index> gemm_sizes =
       quick ? std::vector<Index>{128, 256} : std::vector<Index>{256, 512, 1024};
 
-  auto& dispatch = rt::GemmDispatch::instance();
   const auto dense_impls =
-      impls_for(dispatch.dense_kernels(), "tiled-parallel", "dense-avx2");
+      impls_for(rt::lookup_dense("tiled-parallel"), rt::best_dense());
   const auto nm_impls =
-      impls_for(dispatch.nm_kernels(), "row-parallel", "nm-avx2");
+      impls_for(rt::lookup_nm("row-parallel"), rt::best_nm());
 
   std::vector<Entry> entries;
   Rng rng(9001);
@@ -236,10 +232,10 @@ int main(int argc, char** argv) {
     const MatrixF b = random_dense(n, n, Dist::kNormalStd1, rng);
     std::map<std::size_t, double> scalar_ms;
     for (const auto& impl : dense_impls)
-      sweep("dense_gemm", impl, n, n, n, "", 0.0,
+      sweep("dense_gemm", std::string(impl.name), n, n, n, "", 0.0,
             2.0 * static_cast<double>(n) * n * n, repeats, thread_counts,
             [&](rt::ExecPolicy& p) {
-              p.dense_kernel = impl;
+              p.dense_kernel = impl.fn;
               return rt::dense_gemm(a, b, p);
             },
             &scalar_ms, entries);
@@ -253,10 +249,10 @@ int main(int argc, char** argv) {
     const MatrixF b = random_dense(n, n, Dist::kNormalStd1, rng);
     std::map<std::size_t, double> scalar_ms;
     for (const auto& impl : nm_impls)
-      sweep("nm_gemm", impl, n, n, n, "2:4", 0.5,
+      sweep("nm_gemm", std::string(impl.name), n, n, n, "2:4", 0.5,
             2.0 * static_cast<double>(a.nnz()) * n, repeats, thread_counts,
             [&](rt::ExecPolicy& p) {
-              p.nm_kernel = impl;
+              p.nm_kernel = impl.fn;
               return rt::nm_gemm(a, b, p);
             },
             &scalar_ms, entries);
@@ -274,11 +270,11 @@ int main(int argc, char** argv) {
     const MatrixF b = random_dense(n, n, Dist::kNormalStd1, rng);
     std::map<std::size_t, double> scalar_ms;
     for (const auto& impl : nm_impls)
-      sweep("tasd_gemm", impl, n, n, n, "4:8+1:8", 0.9,
+      sweep("tasd_gemm", std::string(impl.name), n, n, n, "4:8+1:8", 0.9,
             2.0 * static_cast<double>(series.nnz()) * n, repeats,
             thread_counts,
             [&](rt::ExecPolicy& p) {
-              p.nm_kernel = impl;
+              p.nm_kernel = impl.fn;
               return series.multiply(b, p);
             },
             &scalar_ms, entries);

@@ -14,18 +14,19 @@ int main() {
       sparse::NMPattern(1, 8), sparse::NMPattern(2, 8),
       sparse::NMPattern(4, 8)};
 
+  // Returns fresh strings: assigning the literals to one reused string
+  // trips a GCC 12 -Wrestrict false positive.
+  const auto series_for = [&](int n) -> std::string {
+    if (n == 8) return "Dense";
+    if (auto cfg = config_for_effective_pattern(native, 2, n, 8))
+      return cfg->str();
+    return "-";
+  };
+
   TextTable t;
   t.header({"effective pattern", "TASD series"});
   for (int n = 1; n <= 8; ++n) {
-    std::string series;
-    if (n == 8) {
-      series = "Dense";
-    } else if (auto cfg = config_for_effective_pattern(native, 2, n, 8)) {
-      series = cfg->str();
-    } else {
-      series = "-";
-    }
-    t.row({std::to_string(n) + ":8", series});
+    t.row({std::to_string(n) + ":8", series_for(n)});
   }
   t.print();
 

@@ -14,7 +14,7 @@
 // and assembles a fully bound CompiledNetwork.
 //
 // Kernel bindings: an artifact stores no kernel names — they re-resolve
-// through GemmDispatch::best_*() on the loading host, so an artifact
+// through rt::best_dense()/best_nm() on the loading host, so an artifact
 // saved on an AVX2 machine binds the scalar kernels on a machine without
 // AVX2 and executes identically (term buffers are kernel-independent).
 //

@@ -2,7 +2,7 @@
 //
 // The AVX2/FMA GEMM kernels (src/runtime/kernels_avx2.cpp) are compiled
 // with their ISA flags whenever the compiler supports them, but
-// executing them is gated here at runtime: GemmDispatch registers them
+// executing them is gated here at runtime: the kernel table lists them
 // only when avx2_available() says so — CPUID reports AVX2+FMA, the OS
 // saves the YMM register state, and the operator did not force the
 // scalar fallback with TASD_DISABLE_AVX2. That split keeps one binary
@@ -38,8 +38,8 @@ bool avx2_enabled(const CpuFeatures& features, bool disabled_by_env);
 bool avx2_disabled_by_env();
 
 /// Cached process-wide answer combining detect_cpu_features() and
-/// TASD_DISABLE_AVX2 — what GemmDispatch consults at registry
-/// construction.
+/// TASD_DISABLE_AVX2 — what the kernel table consults when it is first
+/// built.
 bool avx2_available();
 
 /// Identity of this host for the benchmark's run record: the CPUID brand
@@ -47,7 +47,7 @@ bool avx2_available();
 /// disable), e.g.
 ///   "Intel(R) Xeon(R) ... CPU @ 2.20GHz|avx2=1".
 /// Two runs are only comparable when they report the same string: the
-/// registered kernel pool and its speeds are functions of these inputs.
+/// kernel table and its speeds are functions of these inputs.
 std::string cpu_signature();
 
 }  // namespace tasd

@@ -88,6 +88,17 @@ constexpr Index kResNet50Layers = 1 + (3 + 4 + 6 + 3) * 3 + 4 + 1;  // 54
 constexpr Index kResNet34Layers = 1 + (3 + 4 + 6 + 3) * 2 + 3 + 1;  // 37
 constexpr Index kBertLayers = 6 + 1;  // 6 distinct per-encoder shapes + head
 
+/// "s<stage>.b<block>", the prefix of a ResNet block's layer names. Built
+/// by appending: GCC 12 misreads `"s" + std::to_string(...)` chains as
+/// overlapping copies (-Wrestrict).
+std::string block_prefix(Index stage, Index block) {
+  std::string prefix = "s";
+  prefix += std::to_string(stage);
+  prefix += ".b";
+  prefix += std::to_string(block);
+  return prefix;
+}
+
 void add_bottleneck(Builder& b, const std::string& prefix, Index in_ch,
                     Index mid, Index spatial_in, Index stride) {
   const Index out_spatial = spatial_in / stride;
@@ -133,9 +144,8 @@ NetworkWorkload resnet50_workload(bool sparse_weights, std::uint64_t seed) {
       const Index stride = (s > 0 && blk == 0) ? 2 : 1;
       const Index spatial_in = stride == 2 ? stage_spatial[s] * 2
                                            : stage_spatial[s];
-      add_bottleneck(b,
-                     "s" + std::to_string(s) + ".b" + std::to_string(blk),
-                     in_ch, stage_width[s], spatial_in, stride);
+      add_bottleneck(b, block_prefix(s, blk), in_ch, stage_width[s],
+                     spatial_in, stride);
       in_ch = stage_width[s] * 4;
     }
   }
@@ -163,8 +173,8 @@ NetworkWorkload resnet34_workload(bool sparse_weights, std::uint64_t seed) {
       const Index stride = (s > 0 && blk == 0) ? 2 : 1;
       const Index spatial_in =
           stride == 2 ? stage_spatial[s] * 2 : stage_spatial[s];
-      add_basic(b, "s" + std::to_string(s) + ".b" + std::to_string(blk), in_ch,
-                stage_width[s], spatial_in, stride);
+      add_basic(b, block_prefix(s, blk), in_ch, stage_width[s], spatial_in,
+                stride);
       in_ch = stage_width[s];
     }
   }

@@ -94,14 +94,6 @@ Index CompiledNetwork::artifact_bytes() const {
   return total;
 }
 
-ExecPolicy CompiledNetwork::policy() const {
-  ExecPolicy p;
-  p.pool = pool_.get();
-  p.dense_kernel = opt_.dense_kernel;
-  p.nm_kernel = opt_.nm_kernel;
-  return p;
-}
-
 void CompiledNetwork::validate_input(std::size_t layer_index,
                                      const MatrixF& input,
                                      std::size_t item) const {
@@ -132,9 +124,8 @@ MatrixF CompiledNetwork::run(std::size_t layer_index,
   const BoundLayer& l = layer(layer_index);
   validate_input(layer_index, input);
   fault::inject("rt.run", l.name);
-  const ExecPolicy p = policy();
-  return l.series ? l.series->multiply(input, p)
-                  : dense_gemm(l.weight, input, p);
+  return l.series ? l.series->multiply(input, policy_)
+                  : dense_gemm(l.weight, input, policy_);
 }
 
 std::vector<MatrixF> CompiledNetwork::run_batch(
@@ -143,9 +134,8 @@ std::vector<MatrixF> CompiledNetwork::run_batch(
   for (std::size_t i = 0; i < inputs.size(); ++i)
     validate_input(layer_index, inputs[i], i);
   fault::inject("rt.run_batch", l.name);
-  const ExecPolicy p = policy();
-  return l.series ? l.series->multiply_batch(inputs, p)
-                  : dense_gemm_batch(l.weight, inputs, p);
+  return l.series ? l.series->multiply_batch(inputs, policy_)
+                  : dense_gemm_batch(l.weight, inputs, policy_);
 }
 
 bool CompiledNetwork::is_chain() const {
@@ -237,23 +227,25 @@ CompiledNetwork assemble_network(std::string name,
   TASD_CHECK_MSG(opt.query_cols >= 1, "query_cols must be >= 1");
   TASD_CHECK_MSG(opt.measure.repeats >= 1, "measure.repeats must be >= 1");
   // Kernel binding happens now, not at first execution: "auto" resolves
-  // to the registry's best kernel (AVX2 when available, scalar
-  // otherwise), and every selected name is looked up so a misspelled or
-  // unregistered name fails at compile time with the registry's
-  // descriptive error. The artifact stores the *resolved* names: its
-  // kernel binding never changes after compile, even if the registry
-  // gains kernels later. (This is also why a serialized artifact stores
-  // no kernel names: a load re-enters this resolution on its own host.)
-  const auto& dispatch = GemmDispatch::instance();
+  // to the table's best kernel (AVX2 when available, scalar otherwise),
+  // and any other name is looked up so a misspelled or unavailable name
+  // fails at compile time with a descriptive error. The artifact stores
+  // the *resolved* kernels in its policy and their names in its options.
+  // (A serialized artifact stores no kernel names: a load re-enters this
+  // resolution on its own host.)
+  const DenseEntry& dense = opt.dense_kernel == "auto"
+                                ? best_dense()
+                                : lookup_dense(opt.dense_kernel);
+  const NmEntry& nm =
+      opt.nm_kernel == "auto" ? best_nm() : lookup_nm(opt.nm_kernel);
   CompiledNetwork cn;
   cn.name_ = std::move(name);
   cn.opt_ = opt;
-  if (cn.opt_.dense_kernel == "auto") cn.opt_.dense_kernel = dispatch.best_dense();
-  if (cn.opt_.nm_kernel == "auto") cn.opt_.nm_kernel = dispatch.best_nm();
-  (void)dispatch.dense(cn.opt_.dense_kernel);
-  (void)dispatch.nm(cn.opt_.nm_kernel);
+  cn.opt_.dense_kernel = dense.name;
+  cn.opt_.nm_kernel = nm.name;
   if (opt.measure.num_threads != 0)
     cn.pool_ = std::make_unique<ThreadPool>(opt.measure.num_threads);
+  cn.policy_ = {cn.pool_.get(), dense.fn, nm.fn};
   cn.layers_.reserve(layers.size());
   for (auto& prebound : layers) {
     CompiledNetwork::BoundLayer l;
@@ -290,7 +282,7 @@ CompiledNetwork assemble_network(std::string name,
       l.kept_nnz_fraction = static_cast<double>(l.series->nnz()) /
                             static_cast<double>(l.weight.size());
     }
-    l.kernel = l.series ? cn.opt_.nm_kernel : cn.opt_.dense_kernel;
+    l.kernel = l.series ? nm.name : dense.name;
     l.batch_kernel = l.kernel;
     cn.layers_.push_back(std::move(l));
   }

@@ -116,13 +116,13 @@ struct CompileOptions {
   /// serving, the latency-bound case batching amortizes). Validated
   /// (>= 1); no kernel selection reads it.
   Index query_cols = 1;
-  /// Kernel selection by registry name, one per operand kind; each binds
-  /// both single-RHS and batch calls of every layer. "auto" (the
-  /// default) resolves at compile() time through GemmDispatch::best_*()
-  /// — the AVX2/FMA kernel when runtime detection registered it, the
-  /// scalar tiled kernel otherwise — and the artifact's policy() reports
-  /// the resolved name. Empty = the GemmDispatch registry defaults
-  /// (always scalar).
+  /// Kernel selection by kernel-table name, one per operand kind; each
+  /// binds both single-RHS and batch calls of every layer. "auto" (the
+  /// default) resolves at compile() time through best_dense()/best_nm()
+  /// — the AVX2/FMA kernel when runtime detection put it in the table,
+  /// the scalar tiled kernel otherwise. Any other name must be in the
+  /// table, or compile() throws. The artifact's options() report the
+  /// resolved name, and its policy() carries the resolved kernel.
   std::string dense_kernel = "auto";
   std::string nm_kernel = "auto";
   /// Opt-in activation guard: run()/run_batch() reject NaN/Inf inputs
@@ -151,9 +151,9 @@ struct PreboundLayer {
 /// Assemble an artifact from layers whose plans may be prebuilt: a
 /// layer carrying a plan binds it directly — zero decompositions — and
 /// a configured layer without one decomposes exactly as compile() does.
-/// Kernel names resolve through GemmDispatch at assembly time ("auto" →
-/// best_*()), so a deserialized network re-binds the fastest kernels
-/// registered on the *loading* host. This is the single constructor
+/// Kernel names resolve through the kernel table at assembly time
+/// ("auto" → best_*()), so a deserialized network re-binds the fastest
+/// kernels the *loading* host can run. This is the single constructor
 /// path behind both rt::compile() and rt::load_artifact(), and the one
 /// place a kernel is chosen: every layer binds the network-wide
 /// resolution.
@@ -180,10 +180,11 @@ class CompiledNetwork {
     /// Bound structured kernel; engaged exactly when config is.
     std::optional<TasdSeriesGemm> series;
     double kept_nnz_fraction = 0.0;  ///< stored values / total positions
-    /// The resolved kernel of the layer's one slot (N:M when `series`
-    /// is bound, dense otherwise): `kernel` for run(), `batch_kernel` for
-    /// run_batch(). Both always equal the network-wide resolution in
-    /// policy(); they are kept per layer so reports can list bindings.
+    /// Table name of the resolved kernel of the layer's one slot (N:M
+    /// when `series` is bound, dense otherwise): `kernel` for run(),
+    /// `batch_kernel` for run_batch(). Both always name the network-wide
+    /// resolution in policy(); they are kept per layer so reports can
+    /// list bindings.
     std::string kernel;
     std::string batch_kernel;
   };
@@ -263,9 +264,9 @@ class CompiledNetwork {
   [[nodiscard]] std::vector<LayerTiming> measure() const;
 
   /// The network-wide execution policy (the artifact's pool binding and
-  /// resolved kernel-name options) — what run(), run_batch(), measure()
-  /// and the dense-vs-TASD comparison paths all run under.
-  [[nodiscard]] ExecPolicy policy() const;
+  /// the kernels resolved at compile time) — what run(), run_batch(),
+  /// measure() and the dense-vs-TASD comparison paths all run under.
+  [[nodiscard]] ExecPolicy policy() const { return policy_; }
 
  private:
   friend CompiledNetwork detail::assemble_network(
@@ -279,6 +280,7 @@ class CompiledNetwork {
   /// Dedicated pool when opt_.measure.num_threads != 0 (unique_ptr so
   /// the ExecPolicy pool pointer survives moves of the artifact).
   std::unique_ptr<ThreadPool> pool_;
+  ExecPolicy policy_;
 };
 
 /// Compile a full-scale workload under per-layer configs (entries align

@@ -6,10 +6,10 @@
 // dense hardware: the speed-up of the N:M kernel over this one comes only
 // from structured compression, which is the effect the paper measures.
 //
-// Execution routes through the GemmDispatch kernel registry; pass an
-// ExecPolicy to pick a pool or kernel, or take the defaults (default
-// pool, tiled parallel kernel). A single right-hand side runs as a
-// batch of one. Results are bit-identical at every thread count.
+// Execution calls the ExecPolicy's kernel pointer (a kernel-table entry,
+// runtime/gemm_dispatch.hpp), or the defaults (default pool, tiled
+// parallel kernel). A single right-hand side runs as a batch of one.
+// Results are bit-identical at every thread count.
 #pragma once
 
 #include <span>
@@ -30,10 +30,5 @@ MatrixF dense_gemm(const MatrixF& a, const MatrixF& b,
 std::vector<MatrixF> dense_gemm_batch(const MatrixF& a,
                                       std::span<const MatrixF> bs,
                                       const ExecPolicy& policy = {});
-
-/// cs[i] += A * bs[i] into preallocated accumulators.
-void dense_gemm_batch_accumulate(const MatrixF& a, std::span<const MatrixF> bs,
-                                 std::span<MatrixF> cs,
-                                 const ExecPolicy& policy = {});
 
 }  // namespace tasd::rt

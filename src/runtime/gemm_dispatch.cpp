@@ -1,13 +1,9 @@
 #include "runtime/gemm_dispatch.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <map>
-#include <string_view>
 
 #include "common/cpu_features.hpp"
 #include "common/error.hpp"
-#include "common/sync.hpp"
 #include "tensor/gemm_ref.hpp"
 
 #ifdef TASD_HAVE_AVX2_KERNELS
@@ -16,11 +12,50 @@
 
 namespace tasd::rt {
 
-ThreadPool& resolve_pool(const ExecPolicy& policy) {
-  return policy.pool ? *policy.pool : default_pool();
+// ------------------------------------------------- packed batch layout
+// The parallel kernels lay the batch items' columns side by side in one
+// wide matrix: packed(r, off[i] + j) == item_i(r, j). Packing and
+// unpacking are exact copies, and both GEMM tile cores accumulate each
+// output element with a fixed k-ascending MAC order regardless of the
+// column range, so running the cores on the packed pair is bit-identical
+// to looping the kernel over one-item batches — while the inner j loops
+// span the whole batch, amortizing per-k-step overhead (the whole point
+// of the serving path on small per-query widths).
+
+std::vector<Index> batch_offsets(std::span<const MatrixF> items) {
+  std::vector<Index> off(items.size() + 1, 0);
+  for (std::size_t i = 0; i < items.size(); ++i)
+    off[i + 1] = off[i] + items[i].cols();
+  return off;
+}
+
+MatrixF pack_batch(std::span<const MatrixF> items,
+                   const std::vector<Index>& off) {
+  const Index rows = items.empty() ? 0 : items[0].rows();
+  MatrixF packed(rows, off.back());
+  for (Index r = 0; r < rows; ++r) {
+    float* prow = packed.data() + r * off.back();
+    for (std::size_t i = 0; i < items.size(); ++i)
+      std::copy_n(items[i].data() + r * items[i].cols(), items[i].cols(),
+                  prow + off[i]);
+  }
+  return packed;
+}
+
+void unpack_batch(const MatrixF& packed, const std::vector<Index>& off,
+                  std::span<MatrixF> items) {
+  for (Index r = 0; r < packed.rows(); ++r) {
+    const float* prow = packed.data() + r * off.back();
+    for (std::size_t i = 0; i < items.size(); ++i)
+      std::copy_n(prow + off[i], items[i].cols(),
+                  items[i].data() + r * items[i].cols());
+  }
 }
 
 // ------------------------------------------------------------ tile cores
+// The serial units the kernels partition over.
+
+namespace {
 
 void dense_gemm_tile(const MatrixF& a, const MatrixF& b, MatrixF& c,
                      Index row_begin, Index row_end, Index col_begin,
@@ -73,57 +108,6 @@ void nm_gemm_tile(const sparse::NMSparseMatrix& a, const MatrixF& b,
   }
 }
 
-// ------------------------------------------------------------- registry
-
-struct GemmDispatch::Impl {
-  mutable Mutex mutex;
-  // Transparent comparators: lookups by string_view copy no name.
-  std::map<std::string, DenseKernel, std::less<>> dense TASD_GUARDED_BY(mutex);
-  std::map<std::string, NmKernel, std::less<>> nm TASD_GUARDED_BY(mutex);
-};
-
-// ------------------------------------------------- packed batch layout
-// The parallel kernels lay the batch items' columns side by side in one
-// wide matrix: packed(r, off[i] + j) == item_i(r, j). Packing and
-// unpacking are exact copies, and both GEMM tile cores accumulate each
-// output element with a fixed k-ascending MAC order regardless of the
-// column range, so running the cores on the packed pair is bit-identical
-// to looping the kernel over one-item batches — while the inner j loops
-// span the whole batch, amortizing per-k-step overhead (the whole point
-// of the serving path on small per-query widths).
-
-std::vector<Index> batch_offsets(std::span<const MatrixF> items) {
-  std::vector<Index> off(items.size() + 1, 0);
-  for (std::size_t i = 0; i < items.size(); ++i)
-    off[i + 1] = off[i] + items[i].cols();
-  return off;
-}
-
-MatrixF pack_batch(std::span<const MatrixF> items,
-                   const std::vector<Index>& off) {
-  const Index rows = items.empty() ? 0 : items[0].rows();
-  MatrixF packed(rows, off.back());
-  for (Index r = 0; r < rows; ++r) {
-    float* prow = packed.data() + r * off.back();
-    for (std::size_t i = 0; i < items.size(); ++i)
-      std::copy_n(items[i].data() + r * items[i].cols(), items[i].cols(),
-                  prow + off[i]);
-  }
-  return packed;
-}
-
-void unpack_batch(const MatrixF& packed, const std::vector<Index>& off,
-                  std::span<MatrixF> items) {
-  for (Index r = 0; r < packed.rows(); ++r) {
-    const float* prow = packed.data() + r * off.back();
-    for (std::size_t i = 0; i < items.size(); ++i)
-      std::copy_n(prow + off[i], items[i].cols(),
-                  items[i].data() + r * items[i].cols());
-  }
-}
-
-namespace {
-
 // Row grain: below this many rows per chunk the fork/join overhead beats
 // the win; partitioning stays deterministic either way.
 constexpr std::size_t kRowGrain = 8;
@@ -133,11 +117,12 @@ constexpr std::size_t kRowGrain = 8;
 // that a short-m call still fans out over the pool.
 constexpr Index kBatchColGrain = 128;
 
-/// Run `tile(b, c, r0, r1, c0, c1)` over a deterministic (row-chunk,
-/// column-chunk) grid covering rows x [0, b.cols()).
-void run_tile_grid(ThreadPool& pool, Index rows, const MatrixF& b, MatrixF& c,
-                   const PackedTileFn& tile) {
-  const Index total_cols = b.cols();
+/// Run `Tile(a, b, c, r0, r1, c0, c1)` over a deterministic (row-chunk,
+/// column-chunk) grid covering a.rows() x [0, b.cols()).
+template <auto Tile, class A>
+void run_tile_grid(ThreadPool& pool, const A& a, const MatrixF& b,
+                   MatrixF& c) {
+  const Index rows = a.rows(), total_cols = b.cols();
   if (rows == 0 || total_cols == 0) return;
   const Index row_chunks = (rows + kRowGrain - 1) / kRowGrain;
   const Index col_chunks = (total_cols + kBatchColGrain - 1) / kBatchColGrain;
@@ -145,26 +130,40 @@ void run_tile_grid(ThreadPool& pool, Index rows, const MatrixF& b, MatrixF& c,
                                                        std::size_t t1) {
     for (std::size_t t = t0; t < t1; ++t) {
       const Index rc = t / col_chunks, cc = t % col_chunks;
-      tile(b, c, rc * kRowGrain,
+      Tile(a, b, c, rc * kRowGrain,
            std::min<Index>(rows, (rc + 1) * kRowGrain), cc * kBatchColGrain,
            std::min<Index>(total_cols, (cc + 1) * kBatchColGrain));
     }
   });
 }
 
-void dense_tiled_parallel(const MatrixF& a, std::span<const MatrixF> bs,
-                          std::span<MatrixF> cs, ThreadPool& pool) {
-  run_packed_batch(a.rows(), bs, cs, pool,
-                   [&a](const MatrixF& b, MatrixF& c, Index r0, Index r1,
-                        Index c0, Index c1) {
-                     dense_gemm_tile(a, b, c, r0, r1, c0, c1);
-                   });
+/// The parallel kernels ("tiled-parallel", "row-parallel", the AVX2
+/// pair): single-item batches run the tile grid in place; larger batches
+/// pack B and C once, run the grid over the packed pair, and unpack. Any
+/// tile core whose per-element MAC order is independent of the column
+/// range keeps the batched-equals-looped contract through this body.
+template <auto Tile, class A>
+void parallel_kernel(const A& a, std::span<const MatrixF> bs,
+                     std::span<MatrixF> cs, ThreadPool& pool) {
+  if (bs.size() == 1) {  // already one contiguous RHS: no pack/unpack
+    run_tile_grid<Tile>(pool, a, bs[0], cs[0]);
+    return;
+  }
+  const auto off = batch_offsets(bs);
+  if (off.back() == 0) return;
+  const MatrixF bp = pack_batch(bs, off);
+  MatrixF cp = pack_batch({cs.data(), cs.size()}, off);
+  run_tile_grid<Tile>(pool, a, bp, cp);
+  unpack_batch(cp, off, cs);
 }
 
-void dense_tiled_serial(const MatrixF& a, std::span<const MatrixF> bs,
-                        std::span<MatrixF> cs, ThreadPool& /*pool*/) {
+/// The serial kernels ("tiled-serial", "serial"): one full-range tile
+/// per item, on the calling thread.
+template <auto Tile, class A>
+void serial_kernel(const A& a, std::span<const MatrixF> bs,
+                   std::span<MatrixF> cs, ThreadPool& /*pool*/) {
   for (std::size_t i = 0; i < bs.size(); ++i)
-    dense_gemm_tile(a, bs[i], cs[i], 0, a.rows(), 0, bs[i].cols());
+    Tile(a, bs[i], cs[i], 0, a.rows(), 0, bs[i].cols());
 }
 
 void dense_reference(const MatrixF& a, std::span<const MatrixF> bs,
@@ -173,125 +172,87 @@ void dense_reference(const MatrixF& a, std::span<const MatrixF> bs,
     gemm_ref_accumulate(a, bs[i], cs[i]);
 }
 
-void nm_row_parallel(const sparse::NMSparseMatrix& a,
-                     std::span<const MatrixF> bs, std::span<MatrixF> cs,
-                     ThreadPool& pool) {
-  run_packed_batch(a.rows(), bs, cs, pool,
-                   [&a](const MatrixF& b, MatrixF& c, Index r0, Index r1,
-                        Index c0, Index c1) {
-                     nm_gemm_tile(a, b, c, r0, r1, c0, c1);
-                   });
+// The tables: scalar default first, AVX2 rows last, so without AVX2 a
+// table is its scalar prefix.
+constexpr DenseEntry kDense[] = {
+    {"tiled-parallel", parallel_kernel<dense_gemm_tile, MatrixF>},
+    {"tiled-serial", serial_kernel<dense_gemm_tile, MatrixF>},
+    {"reference", dense_reference},
+#ifdef TASD_HAVE_AVX2_KERNELS
+    {"dense-avx2", parallel_kernel<dense_gemm_tile_avx2, MatrixF>},
+#endif
+};
+constexpr std::size_t kScalarDense = 3;
+
+constexpr NmEntry kNm[] = {
+    {"row-parallel", parallel_kernel<nm_gemm_tile, sparse::NMSparseMatrix>},
+    {"serial", serial_kernel<nm_gemm_tile, sparse::NMSparseMatrix>},
+#ifdef TASD_HAVE_AVX2_KERNELS
+    {"nm-avx2", parallel_kernel<nm_gemm_tile_avx2, sparse::NMSparseMatrix>},
+#endif
+};
+constexpr std::size_t kScalarNm = 2;
+
+/// The AVX2 rows join the table only when the executing CPU/OS can run
+/// them (and the TASD_DISABLE_AVX2 escape hatch is unset).
+template <class Entry, std::size_t N>
+std::span<const Entry> runnable(const Entry (&all)[N], std::size_t scalar) {
+  return {all, avx2_available() ? N : scalar};
 }
 
-void nm_serial(const sparse::NMSparseMatrix& a, std::span<const MatrixF> bs,
-               std::span<MatrixF> cs, ThreadPool& /*pool*/) {
-  for (std::size_t i = 0; i < bs.size(); ++i)
-    nm_gemm_tile(a, bs[i], cs[i], 0, a.rows(), 0, bs[i].cols());
+/// The AVX2 row when present, the scalar default otherwise.
+template <class Entry>
+const Entry& best_of(std::span<const Entry> table, std::size_t scalar) {
+  return table.size() > scalar ? table[scalar] : table.front();
+}
+
+template <class Entry>
+const Entry& lookup(std::span<const Entry> table, std::string_view name,
+                    std::string_view kind) {
+  const auto it = std::find_if(table.begin(), table.end(),
+                               [&](const Entry& e) { return e.name == name; });
+  TASD_CHECK_MSG(it != table.end(),
+                 "unknown " << kind << " kernel '" << name << "'");
+  return *it;
 }
 
 }  // namespace
 
-void run_packed_batch(Index rows, std::span<const MatrixF> bs,
-                      std::span<MatrixF> cs, ThreadPool& pool,
-                      const PackedTileFn& tile) {
-  if (bs.size() == 1) {  // already one contiguous RHS: no pack/unpack
-    run_tile_grid(pool, rows, bs[0], cs[0], tile);
-    return;
-  }
-  const auto off = batch_offsets(bs);
-  if (off.back() == 0) return;
-  const MatrixF bp = pack_batch(bs, off);
-  MatrixF cp = pack_batch({cs.data(), cs.size()}, off);
-  run_tile_grid(pool, rows, bp, cp, tile);
-  unpack_batch(cp, off, cs);
+std::span<const DenseEntry> dense_kernels() {
+  static const std::span<const DenseEntry> table =
+      runnable(kDense, kScalarDense);
+  return table;
 }
 
-// The scalar defaults: what "" names, and best_*() without AVX2.
-constexpr std::string_view kDefaultDense = "tiled-parallel";
-constexpr std::string_view kDefaultNm = "row-parallel";
-
-GemmDispatch::GemmDispatch() : impl_(new Impl) {
-  {
-    // Scoped: register_avx2_kernels below re-enters through the public
-    // registration methods, which take the lock themselves.
-    MutexLock lock(impl_->mutex);
-    impl_->dense[std::string(kDefaultDense)] = dense_tiled_parallel;
-    impl_->dense["tiled-serial"] = dense_tiled_serial;
-    impl_->dense["reference"] = dense_reference;
-    impl_->nm[std::string(kDefaultNm)] = nm_row_parallel;
-    impl_->nm["serial"] = nm_serial;
-  }
-#ifdef TASD_HAVE_AVX2_KERNELS
-  // Runtime-gated SIMD backend: registered only when the executing
-  // CPU/OS can run it (and the TASD_DISABLE_AVX2 escape hatch is unset).
-  // Defaults stay scalar; best_*() prefers these names when present.
-  if (avx2_available()) register_avx2_kernels(*this);
-#endif
+std::span<const NmEntry> nm_kernels() {
+  static const std::span<const NmEntry> table = runnable(kNm, kScalarNm);
+  return table;
 }
 
-GemmDispatch& GemmDispatch::instance() {
-  static GemmDispatch dispatch;
-  return dispatch;
+const DenseEntry& best_dense() {
+  return best_of(dense_kernels(), kScalarDense);
 }
 
-void GemmDispatch::register_dense(const std::string& name,
-                                  DenseKernel kernel) {
-  TASD_CHECK_MSG(!name.empty(), "kernel name must be non-empty");
-  MutexLock lock(impl_->mutex);
-  impl_->dense[name] = std::move(kernel);
+const NmEntry& best_nm() { return best_of(nm_kernels(), kScalarNm); }
+
+const DenseEntry& lookup_dense(std::string_view name) {
+  return lookup(dense_kernels(), name, "dense");
 }
 
-void GemmDispatch::register_nm(const std::string& name, NmKernel kernel) {
-  TASD_CHECK_MSG(!name.empty(), "kernel name must be non-empty");
-  MutexLock lock(impl_->mutex);
-  impl_->nm[name] = std::move(kernel);
+const NmEntry& lookup_nm(std::string_view name) {
+  return lookup(nm_kernels(), name, "N:M");
 }
 
-std::vector<std::string> GemmDispatch::dense_kernels() const {
-  MutexLock lock(impl_->mutex);
-  std::vector<std::string> names;
-  names.reserve(impl_->dense.size());
-  for (const auto& [name, _] : impl_->dense) names.push_back(name);
-  return names;
+ThreadPool& resolve_pool(const ExecPolicy& policy) {
+  return policy.pool ? *policy.pool : default_pool();
 }
 
-std::vector<std::string> GemmDispatch::nm_kernels() const {
-  MutexLock lock(impl_->mutex);
-  std::vector<std::string> names;
-  names.reserve(impl_->nm.size());
-  for (const auto& [name, _] : impl_->nm) names.push_back(name);
-  return names;
+DenseKernel resolve_dense(const ExecPolicy& policy) {
+  return policy.dense_kernel ? policy.dense_kernel : kDense[0].fn;
 }
 
-// The static fallback chain: the AVX2 family when registered, the
-// scalar default otherwise — what "auto" resolves to at compile and
-// load time.
-std::string GemmDispatch::best_dense() const {
-  MutexLock lock(impl_->mutex);
-  return std::string(impl_->dense.contains("dense-avx2") ? "dense-avx2"
-                                                          : kDefaultDense);
-}
-
-std::string GemmDispatch::best_nm() const {
-  MutexLock lock(impl_->mutex);
-  return std::string(impl_->nm.contains("nm-avx2") ? "nm-avx2" : kDefaultNm);
-}
-
-DenseKernel GemmDispatch::dense(const std::string& name) const {
-  MutexLock lock(impl_->mutex);
-  const auto it =
-      impl_->dense.find(name.empty() ? kDefaultDense : std::string_view(name));
-  TASD_CHECK_MSG(it != impl_->dense.end(),
-                 "unknown dense kernel '" << name << "'");
-  return it->second;
-}
-
-NmKernel GemmDispatch::nm(const std::string& name) const {
-  MutexLock lock(impl_->mutex);
-  const auto it =
-      impl_->nm.find(name.empty() ? kDefaultNm : std::string_view(name));
-  TASD_CHECK_MSG(it != impl_->nm.end(), "unknown N:M kernel '" << name << "'");
-  return it->second;
+NmKernel resolve_nm(const ExecPolicy& policy) {
+  return policy.nm_kernel ? policy.nm_kernel : kNm[0].fn;
 }
 
 }  // namespace tasd::rt

@@ -1,26 +1,26 @@
-// GemmDispatch: the kernel registry every GEMM path routes through.
+// The kernel table every GEMM path executes from.
 //
-// All dense and N:M-compressed CPU kernels register here by name; callers
-// pick one through an ExecPolicy (or take the default). This is the seam
-// future backends (sharded, SIMD-specialized) plug into without touching
-// call sites, and what lets the benches sweep kernels and thread counts
-// uniformly.
+// Kernels are plain function pointers in a fixed table, one table per
+// operand kind (dense, N:M). A caller resolves a name once, at the edge
+// (CompileOptions, the benches, the kernel tests), and from then on
+// carries the pointer in an ExecPolicy: no execution path looks a
+// kernel up, takes a lock or touches a string.
 //
-// There is one slot per operand kind (dense, N:M) and one kernel
-// signature per slot, batch-shaped: a kernel accumulates cs[i] += A *
-// bs[i] over a span of right-hand sides, and a single right-hand side is
-// a one-item span (run_packed_batch skips packing for it).
+// One kernel signature per operand kind, batch-shaped: a kernel
+// accumulates cs[i] += A * bs[i] over a span of right-hand sides, and a
+// single right-hand side is a one-item span (the parallel kernels skip
+// packing for it).
 //
-// Built-in dense kernels:
+// Scalar dense kernels:
 //   "tiled-parallel"  (row, column) tile grid over the pool, 4-wide
-//                     k-unrolled (default)
+//                     k-unrolled (the default)
 //   "tiled-serial"    the same tile core, one thread, item by item
 //   "reference"       the tensor/gemm_ref correctness oracle, per item
-// Built-in N:M kernels:
+// Scalar N:M kernels:
 //   "row-parallel"    (row, column) tile grid over the compressed
-//                     traversal (default)
+//                     traversal (the default)
 //   "serial"          the same traversal, one thread, item by item
-// AVX2/FMA kernels (registered only when tasd::avx2_available() — CPUID
+// AVX2/FMA kernels (in the table only when tasd::avx2_available(): CPUID
 // says AVX2+FMA, the OS saves YMM state, TASD_DISABLE_AVX2 unset; see
 // runtime/kernels_avx2.hpp and docs/kernels.md):
 //   "dense-avx2"      "nm-avx2"
@@ -32,15 +32,13 @@
 // batched call is bit-identical to looping the same kernel over the
 // items. The scalar (mul+add) and AVX2 (one fused multiply-add per step)
 // families round differently and agree to float tolerance, not bitwise.
-// best_dense() / best_nm() name the statically-preferred registered
-// kernel of each slot (avx2 > scalar) so callers can auto-select per
-// artifact (CompileOptions "auto"); every layer of a compiled network
-// binds that one choice.
+// best_dense() / best_nm() are the statically-preferred entry of each
+// table (avx2 > scalar): what CompileOptions "auto" binds, once per
+// compiled network.
 #pragma once
 
-#include <functional>
 #include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -49,84 +47,56 @@
 
 namespace tasd::rt {
 
-/// How a GEMM call should execute: which pool and which kernels. The
-/// defaults (null pool, empty names) mean "the process default pool and
-/// the registry's default kernels".
-struct ExecPolicy {
-  ThreadPool* pool = nullptr;
-  std::string dense_kernel;
-  std::string nm_kernel;
-};
-
-/// Resolve the pool an ExecPolicy designates.
-ThreadPool& resolve_pool(const ExecPolicy& policy);
-
 /// A dense kernel accumulates cs[i] += A * bs[i] for every item of a
 /// batch of right-hand sides (items may have ragged widths; one item is
-/// the single-RHS case). The contract every registered kernel must keep:
-/// output bits identical to looping it over one-item batches, at every
-/// thread count.
-using DenseKernel =
-    std::function<void(const MatrixF& a, std::span<const MatrixF> bs,
-                       std::span<MatrixF> cs, ThreadPool& pool)>;
+/// the single-RHS case). The contract every table kernel keeps: output
+/// bits identical to looping it over one-item batches, at every thread
+/// count. Callers check shapes; kernels do not.
+using DenseKernel = void (*)(const MatrixF& a, std::span<const MatrixF> bs,
+                             std::span<MatrixF> cs, ThreadPool& pool);
 
 /// An N:M kernel accumulates cs[i] += A * bs[i] for compressed A, under
 /// the same bit-exactness contract.
-using NmKernel =
-    std::function<void(const sparse::NMSparseMatrix& a,
-                       std::span<const MatrixF> bs, std::span<MatrixF> cs,
-                       ThreadPool& pool)>;
+using NmKernel = void (*)(const sparse::NMSparseMatrix& a,
+                          std::span<const MatrixF> bs, std::span<MatrixF> cs,
+                          ThreadPool& pool);
 
-/// Thread-safe named registry of GEMM kernels.
-class GemmDispatch {
- public:
-  /// Process-wide registry, pre-populated with the built-ins.
-  static GemmDispatch& instance();
-
-  void register_dense(const std::string& name, DenseKernel kernel);
-  void register_nm(const std::string& name, NmKernel kernel);
-
-  /// Registered kernel names, sorted.
-  [[nodiscard]] std::vector<std::string> dense_kernels() const;
-  [[nodiscard]] std::vector<std::string> nm_kernels() const;
-
-  /// Auto-selection policy: the fastest registered kernel for each slot —
-  /// the AVX2 kernel when runtime detection registered it, the scalar
-  /// default ("tiled-parallel" / "row-parallel") otherwise.
-  /// CompileOptions' "auto" kernel names resolve through these at
-  /// rt::compile() time.
-  [[nodiscard]] std::string best_dense() const;
-  [[nodiscard]] std::string best_nm() const;
-
-  /// Look up a kernel ("" = the scalar default). Throws tasd::Error on
-  /// unknown names.
-  [[nodiscard]] DenseKernel dense(const std::string& name = {}) const;
-  [[nodiscard]] NmKernel nm(const std::string& name = {}) const;
-
- private:
-  GemmDispatch();
-  struct Impl;
-  Impl* impl_;
+/// How a GEMM call should execute: which pool and which kernels. Null
+/// members mean "the process default pool" and "the scalar default
+/// kernel" ("tiled-parallel" / "row-parallel").
+struct ExecPolicy {
+  ThreadPool* pool = nullptr;
+  DenseKernel dense_kernel = nullptr;
+  NmKernel nm_kernel = nullptr;
 };
 
-// ------------------------------------------------------ tile cores
-// The serial units the kernels partition over; exposed so composite
-// kernels and tests can drive exact output tiles.
+/// Resolve the pool and kernels an ExecPolicy designates.
+ThreadPool& resolve_pool(const ExecPolicy& policy);
+DenseKernel resolve_dense(const ExecPolicy& policy);
+NmKernel resolve_nm(const ExecPolicy& policy);
 
-/// Dense C += A*B restricted to output rows [row_begin, row_end) and
-/// output columns [col_begin, col_end): j-tiled, 4-wide k-unrolled,
-/// every MAC executed (no zero skip). Per-element MAC order (k
-/// ascending, 4-wide) is the same for every tile shape, so any disjoint
-/// tiling of the output reproduces the full-range result bit-for-bit.
-void dense_gemm_tile(const MatrixF& a, const MatrixF& b, MatrixF& c,
-                     Index row_begin, Index row_end, Index col_begin,
-                     Index col_end);
+/// One table row: a kernel and the name reports and options use for it.
+template <class Kernel>
+struct KernelEntry {
+  std::string_view name;
+  Kernel fn;
+};
+using DenseEntry = KernelEntry<DenseKernel>;
+using NmEntry = KernelEntry<NmKernel>;
 
-/// Compressed N:M C += A*B restricted to an (output-row, output-column)
-/// tile, same bit-exactness property as dense_gemm_tile.
-void nm_gemm_tile(const sparse::NMSparseMatrix& a, const MatrixF& b,
-                  MatrixF& c, Index row_begin, Index row_end,
-                  Index col_begin, Index col_end);
+/// The kernels this process can run, scalar default first.
+std::span<const DenseEntry> dense_kernels();
+std::span<const NmEntry> nm_kernels();
+
+/// The fastest entry of each table: the AVX2 kernel when it is in the
+/// table, the scalar default otherwise. CompileOptions' "auto" kernel
+/// names resolve through these at rt::compile() time.
+const DenseEntry& best_dense();
+const NmEntry& best_nm();
+
+/// The entry named `name`. Throws tasd::Error on unknown names.
+const DenseEntry& lookup_dense(std::string_view name);
+const NmEntry& lookup_nm(std::string_view name);
 
 // Packed batch layout: items' columns laid side by side in one wide
 // matrix, packed(r, off[i] + j) == item_i(r, j). Pack/unpack are exact
@@ -144,21 +114,5 @@ MatrixF pack_batch(std::span<const MatrixF> items,
 /// Copy packed columns back out into the per-item matrices.
 void unpack_batch(const MatrixF& packed, const std::vector<Index>& off,
                   std::span<MatrixF> items);
-
-/// A packed-batch tile body: C += A*B restricted to output rows
-/// [r0, r1) and output columns [c0, c1) of the packed pair.
-using PackedTileFn = std::function<void(const MatrixF& b, MatrixF& c,
-                                        Index r0, Index r1, Index c0,
-                                        Index c1)>;
-
-/// Shared scheduling body of the parallel kernels: single-item batches
-/// run the (row, column) tile grid in place; larger batches pack B and C
-/// once, run the grid over the packed pair, and unpack. Exposed so SIMD
-/// backends reuse the exact grid — any tile core whose per-element MAC
-/// order is independent of the column range keeps the batched-equals-
-/// looped bit-exactness contract through this body.
-void run_packed_batch(Index rows, std::span<const MatrixF> bs,
-                      std::span<MatrixF> cs, ThreadPool& pool,
-                      const PackedTileFn& tile);
 
 }  // namespace tasd::rt

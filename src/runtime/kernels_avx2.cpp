@@ -1,5 +1,5 @@
 // AVX2/FMA GEMM kernels. Compiled with -mavx2 -mfma; executed only when
-// runtime detection (tasd::avx2_available) registered them.
+// runtime detection (tasd::avx2_available) put them in the kernel table.
 //
 // The bit-exactness discipline (docs/kernels.md): one accumulator chain
 // per output element, advanced by exactly one fused multiply-add per
@@ -189,33 +189,6 @@ void nm_gemm_tile_avx2(const sparse::NMSparseMatrix& a, const MatrixF& b,
       }
     }
   }
-}
-
-namespace {
-
-void dense_avx2(const MatrixF& a, std::span<const MatrixF> bs,
-                std::span<MatrixF> cs, ThreadPool& pool) {
-  run_packed_batch(a.rows(), bs, cs, pool,
-                   [&a](const MatrixF& b, MatrixF& c, Index r0, Index r1,
-                        Index c0, Index c1) {
-                     dense_gemm_tile_avx2(a, b, c, r0, r1, c0, c1);
-                   });
-}
-
-void nm_avx2(const sparse::NMSparseMatrix& a, std::span<const MatrixF> bs,
-             std::span<MatrixF> cs, ThreadPool& pool) {
-  run_packed_batch(a.rows(), bs, cs, pool,
-                   [&a](const MatrixF& b, MatrixF& c, Index r0, Index r1,
-                        Index c0, Index c1) {
-                     nm_gemm_tile_avx2(a, b, c, r0, r1, c0, c1);
-                   });
-}
-
-}  // namespace
-
-void register_avx2_kernels(GemmDispatch& dispatch) {
-  dispatch.register_dense("dense-avx2", dense_avx2);
-  dispatch.register_nm("nm-avx2", nm_avx2);
 }
 
 }  // namespace tasd::rt

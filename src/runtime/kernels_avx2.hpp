@@ -1,6 +1,7 @@
-// AVX2/FMA vectorized GEMM kernels — the SIMD backend of GemmDispatch.
+// AVX2/FMA vectorized GEMM tile cores — the SIMD rows of the kernel
+// table (runtime/gemm_dispatch.hpp).
 //
-// Registered names (see docs/kernels.md for the author guide):
+// Table names (see docs/kernels.md for the author guide):
 //   dense  "dense-avx2"  (row, column) tile grid, 8-lane FMA over columns
 //   N:M    "nm-avx2"     same grid over the compressed traversal
 //
@@ -17,30 +18,28 @@
 // float tolerance, not bitwise (the property tests pin both claims).
 //
 // This translation unit is compiled with -mavx2 -mfma (see
-// src/CMakeLists.txt); GemmDispatch registers the kernels only when
-// tasd::avx2_available() says the executing CPU/OS can run them.
+// src/CMakeLists.txt); the kernel table lists the kernels built on these
+// cores only when tasd::avx2_available() says the executing CPU/OS can
+// run them.
 #pragma once
 
-#include "runtime/gemm_dispatch.hpp"
+#include "sparse/nm_matrix.hpp"
+#include "tensor/matrix.hpp"
 
 namespace tasd::rt {
 
-/// Dense C += A*B restricted to an (output-row, output-column) tile;
-/// AVX2/FMA analogue of dense_gemm_tile with the same any-disjoint-tiling
-/// bit-exactness property (within the AVX2 family).
+/// Dense C += A*B restricted to output rows [row_begin, row_end) and
+/// output columns [col_begin, col_end). Per-element chain order is the
+/// same for every tile shape, so any disjoint tiling of the output
+/// reproduces the full-range result bit-for-bit (within the AVX2 family).
 void dense_gemm_tile_avx2(const MatrixF& a, const MatrixF& b, MatrixF& c,
                           Index row_begin, Index row_end, Index col_begin,
                           Index col_end);
 
-/// Compressed N:M C += A*B restricted to a tile; AVX2/FMA analogue of
-/// nm_gemm_tile.
+/// Compressed N:M C += A*B restricted to an (output-row, output-column)
+/// tile, with the same bit-exactness property.
 void nm_gemm_tile_avx2(const sparse::NMSparseMatrix& a, const MatrixF& b,
                        MatrixF& c, Index row_begin, Index row_end,
                        Index col_begin, Index col_end);
-
-/// Register both AVX2 kernels under their names. Called once by
-/// GemmDispatch's constructor when avx2_available(); never changes the
-/// registry defaults.
-void register_avx2_kernels(GemmDispatch& dispatch);
 
 }  // namespace tasd::rt

@@ -6,34 +6,10 @@ namespace tasd::rt {
 
 MatrixF nm_gemm(const sparse::NMSparseMatrix& a, const MatrixF& b,
                 const ExecPolicy& policy) {
+  TASD_CHECK_MSG(a.cols() == b.rows(), "N:M GEMM inner dim mismatch");
   MatrixF c(a.rows(), b.cols());
-  nm_gemm_batch_accumulate(a, {&b, 1}, {&c, 1}, policy);
+  resolve_nm(policy)(a, {&b, 1}, {&c, 1}, resolve_pool(policy));
   return c;
-}
-
-std::vector<MatrixF> nm_gemm_batch(const sparse::NMSparseMatrix& a,
-                                   std::span<const MatrixF> bs,
-                                   const ExecPolicy& policy) {
-  std::vector<MatrixF> cs;
-  cs.reserve(bs.size());
-  for (const MatrixF& b : bs) cs.emplace_back(a.rows(), b.cols());
-  nm_gemm_batch_accumulate(a, bs, cs, policy);
-  return cs;
-}
-
-void nm_gemm_batch_accumulate(const sparse::NMSparseMatrix& a,
-                              std::span<const MatrixF> bs,
-                              std::span<MatrixF> cs,
-                              const ExecPolicy& policy) {
-  TASD_CHECK_MSG(bs.size() == cs.size(), "batch GEMM item count mismatch");
-  for (std::size_t i = 0; i < bs.size(); ++i) {
-    TASD_CHECK_MSG(a.cols() == bs[i].rows(),
-                   "N:M GEMM inner dim mismatch at item " << i);
-    TASD_CHECK(cs[i].rows() == a.rows() && cs[i].cols() == bs[i].cols());
-  }
-  if (bs.empty()) return;
-  GemmDispatch::instance().nm(policy.nm_kernel)(a, bs, cs,
-                                                resolve_pool(policy));
 }
 
 TasdSeriesGemm::TasdSeriesGemm(const Decomposition& decomposition)
@@ -94,7 +70,7 @@ void TasdSeriesGemm::accumulate(std::span<const MatrixF> bs,
   // series order, k ascending within a term, and the kernels' per-element
   // order does not depend on column position or thread count — so one
   // item, a packed batch and a per-item loop all produce the same bits.
-  const NmKernel kernel = GemmDispatch::instance().nm(policy.nm_kernel);
+  const NmKernel kernel = resolve_nm(policy);
   ThreadPool& pool = resolve_pool(policy);
   for (const auto& t : terms()) kernel(t, bs, cs, pool);
 }

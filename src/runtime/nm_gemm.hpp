@@ -3,9 +3,9 @@
 // 2:4-compressed operand does half the work of the dense kernel through
 // the same inner loop.
 //
-// Execution routes through the GemmDispatch kernel registry (the
-// parallel tile grid by default, bit-identical at every thread count); a
-// single right-hand side runs as a batch of one. TASD series can run
+// Execution calls the ExecPolicy's N:M kernel pointer (the parallel tile
+// grid by default, bit-identical at every thread count); a single
+// right-hand side runs as a batch of one. TASD series can run
 // from a cached DecompositionPlan so the weights are decomposed and
 // compressed exactly once.
 #pragma once
@@ -25,19 +25,6 @@ namespace tasd::rt {
 /// C = A_compressed * B. A batch of one.
 MatrixF nm_gemm(const sparse::NMSparseMatrix& a, const MatrixF& b,
                 const ExecPolicy& policy = {});
-
-/// cs[i] = A_compressed * bs[i] for a batch of right-hand sides (ragged
-/// widths allowed). Bit-identical to calling nm_gemm per item, at every
-/// thread count and batch size.
-std::vector<MatrixF> nm_gemm_batch(const sparse::NMSparseMatrix& a,
-                                   std::span<const MatrixF> bs,
-                                   const ExecPolicy& policy = {});
-
-/// cs[i] += A_compressed * bs[i] into preallocated accumulators.
-void nm_gemm_batch_accumulate(const sparse::NMSparseMatrix& a,
-                              std::span<const MatrixF> bs,
-                              std::span<MatrixF> cs,
-                              const ExecPolicy& policy = {});
 
 /// C = Σ_i term_i * B over a whole TASD series (distributive execution of
 /// the decomposed GEMM, paper §3.2). Terms are pre-compressed once.

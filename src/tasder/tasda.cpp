@@ -41,25 +41,19 @@ TasdaResult tasda_layer_wise(dnn::Model& model, const HwProfile& hw,
 
   std::vector<TasdaLayerDecision> decisions;
   for (const auto& st : stats) {
-    TasdaLayerDecision d;
-    d.layer_name = st.name;
-    if (st.layer->allow_tasd_a()) {
-      double sparsity;
-      if (st.act_induces_sparsity) {
-        sparsity = 1.0 - (opt.use_p99_density ? st.p99_density
-                                              : st.mean_density);
-        d.used_pseudo_density = false;
-      } else {
-        // GELU/Swish: no literal zeros; use magnitude-based
-        // pseudo-density instead (paper §4.3).
-        sparsity = 1.0 - st.mean_pseudo_density;
-        d.used_pseudo_density = true;
-      }
-      d.act_sparsity_used = sparsity;
-      d.config = select_tasda_config(candidates, sparsity, opt.alpha);
-      if (d.config) st.layer->set_tasd_a(*d.config);
+    if (!st.layer->allow_tasd_a()) {  // recorded, not converted
+      decisions.emplace_back().layer_name = st.name;
+      continue;
     }
-    decisions.push_back(std::move(d));
+    // GELU/Swish induce no literal zeros: use magnitude-based
+    // pseudo-density instead (paper §4.3).
+    const bool pseudo = !st.act_induces_sparsity;
+    const double measured =
+        opt.use_p99_density ? st.p99_density : st.mean_density;
+    const double sparsity = 1.0 - (pseudo ? st.mean_pseudo_density : measured);
+    auto config = select_tasda_config(candidates, sparsity, opt.alpha);
+    if (config) st.layer->set_tasd_a(*config);
+    decisions.push_back({st.name, std::move(config), sparsity, pseudo});
   }
   return finalize(model, eval, reference, std::move(decisions),
                   "layer-wise alpha=" + std::to_string(opt.alpha));

@@ -342,13 +342,12 @@ TEST(Artifact, ReservedHeaderBytesAreIgnored) {
   EXPECT_EQ(after.decompositions, before.decompositions);
   EXPECT_EQ(after.misses, before.misses);
 
-  const auto& dispatch = GemmDispatch::instance();
   Rng rng(9330);
   ASSERT_EQ(loaded.layer_count(), engine.layer_count());
   for (std::size_t i = 0; i < loaded.layer_count(); ++i) {
     const auto& l = loaded.layer(i);
-    const std::string want =
-        l.series ? dispatch.best_nm() : dispatch.best_dense();
+    const std::string_view want =
+        l.series ? best_nm().name : best_dense().name;
     EXPECT_EQ(l.kernel, want) << "layer " << i;
     EXPECT_EQ(l.batch_kernel, want) << "layer " << i;
     const MatrixF x = random_dense(l.k, 5, Dist::kNormalStd1, rng);

@@ -1,5 +1,5 @@
 // CPU feature detection and the AVX2 enablement policy (the gate the
-// GemmDispatch registry consults before registering the SIMD kernels).
+// kernel table consults before listing the SIMD kernels).
 #include "common/cpu_features.hpp"
 
 #include <gtest/gtest.h>

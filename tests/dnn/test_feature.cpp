@@ -12,13 +12,13 @@ namespace {
 TEST(Feature, TaggedAccess) {
   Feature t(Tensor4D(1, 2, 2, 2));
   EXPECT_TRUE(t.is_tensor());
-  EXPECT_NO_THROW(t.tensor());
-  EXPECT_THROW(t.matrix(), tasd::Error);
+  EXPECT_NO_THROW((void)t.tensor());
+  EXPECT_THROW((void)t.matrix(), tasd::Error);
 
   Feature m(MatrixF(2, 3));
   EXPECT_FALSE(m.is_tensor());
-  EXPECT_NO_THROW(m.matrix());
-  EXPECT_THROW(m.tensor(), tasd::Error);
+  EXPECT_NO_THROW((void)m.matrix());
+  EXPECT_THROW((void)m.tensor(), tasd::Error);
 }
 
 TEST(Feature, SizeAndSparsity) {

@@ -47,8 +47,11 @@ TEST(ConfidentLabels, KeptLabelsMatchPredictions) {
   const EvalSet eval = EvalSet::images(24, 8, 3, 804);
   const auto conf = confident_labels(m, eval, 0.25);
   const auto pred = predict(m, eval);
-  for (std::size_t i = 0; i < conf.size(); ++i)
-    if (conf[i] != kIgnoreLabel) EXPECT_EQ(conf[i], pred[i]);
+  for (std::size_t i = 0; i < conf.size(); ++i) {
+    if (conf[i] != kIgnoreLabel) {
+      EXPECT_EQ(conf[i], pred[i]);
+    }
+  }
 }
 
 TEST(ConfidentLabels, AgreementSkipsIgnored) {

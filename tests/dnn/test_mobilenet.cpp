@@ -56,7 +56,9 @@ TEST(MobileNet, DeterministicConstruction) {
 TEST(MobileNet, HeadExcludedFromTasdA) {
   Model m = make_mobilenet(tiny());
   for (auto* l : m.gemm_layers()) {
-    if (l->name().rfind("head", 0) == 0) EXPECT_FALSE(l->allow_tasd_a());
+    if (l->name().rfind("head", 0) == 0) {
+      EXPECT_FALSE(l->allow_tasd_a());
+    }
   }
 }
 

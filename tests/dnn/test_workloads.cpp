@@ -74,8 +74,9 @@ TEST(Workloads, BertTasdAEligibilityMatchesPaper) {
         l.name == "enc.attn_out") {
       EXPECT_FALSE(l.tasd_a_eligible) << l.name;
     }
-    if (l.name == "enc.fc1" || l.name == "enc.fc2")
+    if (l.name == "enc.fc1" || l.name == "enc.fc2") {
       EXPECT_TRUE(l.tasd_a_eligible) << l.name;
+    }
   }
   double fc2_pseudo = 1.0, fc1_pseudo = 1.0;
   for (const auto& l : bert.layers) {

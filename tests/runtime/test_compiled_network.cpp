@@ -95,8 +95,8 @@ TEST(CompiledNetwork, RunMatchesDirectKernelPathsAtEveryThreadCount) {
   const MatrixF w1 = dnn::materialize_weight(net.layers[1]);
   const TasdSeriesGemm series(plan_cache().get_or_build(w0, *cfgs[0]));
   ExecPolicy resolved;  // what "auto" resolves to, on the default pool
-  resolved.dense_kernel = GemmDispatch::instance().best_dense();
-  resolved.nm_kernel = GemmDispatch::instance().best_nm();
+  resolved.dense_kernel = best_dense().fn;
+  resolved.nm_kernel = best_nm().fn;
   const MatrixF want0 = series.multiply(b0, resolved);
   const MatrixF want1 = dense_gemm(w1, b1, resolved);
 
@@ -307,13 +307,17 @@ TEST(CompiledNetwork, CompileValidatesOptions) {
 }
 
 TEST(CompiledNetwork, CompileRejectsUnknownKernelNamesEagerly) {
-  // Kernel binding is a compile-time promise: a name the registry does
-  // not know must fail at compile(), not mid-inference at first run().
+  // Kernel binding is a compile-time promise: a name the kernel table
+  // does not hold must fail at compile(), not mid-inference at first
+  // run(). An empty name is no alias for the defaults.
   for (auto field :
        {&CompileOptions::dense_kernel, &CompileOptions::nm_kernel}) {
-    CompileOptions opt;
-    opt.*field = "no-such-kernel";
-    EXPECT_THROW(compile(tiny_net(), mixed_configs(), opt), Error);
+    for (const char* name : {"no-such-kernel", ""}) {
+      CompileOptions opt;
+      opt.*field = name;
+      EXPECT_THROW(compile(tiny_net(), mixed_configs(), opt), Error)
+          << "'" << name << "'";
+    }
   }
   // Known non-default names still compile and execute. Within one
   // rounding family, kernel selection only changes scheduling: the

@@ -30,19 +30,19 @@ TEST(DenseGemm, HandlesKNotMultipleOfUnroll) {
 TEST(DenseGemm, AccumulatesIntoC) {
   MatrixF a(1, 4, {1, 1, 1, 1});
   MatrixF b(4, 1, {1, 1, 1, 1});
-  MatrixF c(1, 1, {10.0F});
-  dense_gemm_batch_accumulate(a, {&b, 1}, {&c, 1});
-  EXPECT_EQ(c(0, 0), 14.0F);
+  for (const auto& [name, fn] : dense_kernels()) {
+    MatrixF c(1, 1, {10.0F});
+    fn(a, {&b, 1}, {&c, 1}, default_pool());
+    EXPECT_EQ(c(0, 0), 14.0F) << name;
+  }
 }
 
 TEST(DenseGemm, ShapeChecks) {
   MatrixF a(2, 3);
   MatrixF b(4, 5);
   EXPECT_THROW(dense_gemm(a, b), Error);
-  MatrixF ok_b(3, 5);
-  MatrixF bad_c(2, 4);
-  EXPECT_THROW(dense_gemm_batch_accumulate(a, {&ok_b, 1}, {&bad_c, 1}),
-               Error);
+  const MatrixF bs[] = {MatrixF(3, 5), b};
+  EXPECT_THROW(dense_gemm_batch(a, bs), Error);
 }
 
 TEST(DenseGemm, SparseAndDenseInputsSameResult) {

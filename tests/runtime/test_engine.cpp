@@ -23,10 +23,12 @@ dnn::NetworkWorkload tiny_net() {
   l1.n = 64;
   l1.weight_density = 0.1;
   l1.weight_seed = 5;
-  dnn::GemmWorkload l2 = l1;
+  dnn::GemmWorkload l2;
   l2.name = "b";
   l2.m = 128;
   l2.k = 128;
+  l2.n = 64;
+  l2.weight_density = 0.1;
   l2.weight_seed = 6;
   net.layers = {l1, l2};
   return net;

@@ -1,7 +1,7 @@
-// Differential property sweep (ISSUE 10 satellite): one seeded
-// random-shape generator drives every registered kernel family — scalar,
-// AVX2, and whatever a future backend registers — through the
-// same draws and asserts the cross-kernel contract from docs/kernels.md:
+// Differential property sweep: one seeded random-shape generator drives
+// every kernel family in the kernel table — scalar, AVX2, and whatever a
+// future backend adds — through the same draws and asserts the
+// cross-kernel contract from docs/kernels.md:
 //
 //  * within a rounding family results are bit-identical (kernel vs
 //    kernel, batched vs looped, any thread count vs one thread);
@@ -12,8 +12,8 @@
 // blocking grains (1..64 rows, K crossing the 4-step unroll, N crossing
 // the 8/16/32-lane blocks plus masked tails), ragged batch width mixes
 // including zero-column items, and mixed-pattern TASD series (2:8+1:8).
-// A new backend only has to register its kernels and name them into a
-// family (kernel_families.hpp) to inherit the whole sweep.
+// A new backend only has to add its kernels to the table and name them
+// into a family (kernel_families.hpp) to inherit the whole sweep.
 //
 // One fixed draw is wide: a single right-hand side of more than 512
 // columns, so the parallel kernels split it over several 128-column
@@ -23,6 +23,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -80,14 +81,15 @@ std::vector<Draw> make_draws(std::uint64_t seed) {
 /// Assert `out` equals the family's canonical result bitwise (recording
 /// it on first sight) and the oracle to float tolerance.
 void check_family(std::map<std::string, MatrixF>& canon,
-                  const std::string& kernel, const MatrixF& out,
+                  std::string_view kernel, const MatrixF& out,
                   const MatrixF& oracle, const std::string& ctx) {
   EXPECT_TRUE(allclose(out, oracle, 1e-4, 1e-4)) << ctx << " kernel=" << kernel;
   const std::string family = rounding_family(kernel);
   const auto [it, fresh] = canon.emplace(family, out);
-  if (!fresh)
+  if (!fresh) {
     EXPECT_TRUE(out == it->second)
         << ctx << " kernel=" << kernel << " diverges within family " << family;
+  }
 }
 
 TEST(KernelDifferential, DenseKernelsAgreeAcrossFamiliesOnRandomShapes) {
@@ -97,9 +99,9 @@ TEST(KernelDifferential, DenseKernelsAgreeAcrossFamiliesOnRandomShapes) {
     const MatrixF b = random_dense(d.k, d.n, Dist::kNormalStd1, rng);
     const MatrixF oracle = gemm_ref(a, b);
     std::map<std::string, MatrixF> canon;
-    for (const auto& kernel : GemmDispatch::instance().dense_kernels()) {
+    for (const auto& [kernel, fn] : dense_kernels()) {
       ExecPolicy one_policy;
-      one_policy.dense_kernel = kernel;
+      one_policy.dense_kernel = fn;
       ThreadPool one(1);
       one_policy.pool = &one;
       const MatrixF serial = dense_gemm(a, b, one_policy);
@@ -108,7 +110,7 @@ TEST(KernelDifferential, DenseKernelsAgreeAcrossFamiliesOnRandomShapes) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.dense_kernel = kernel;
+        policy.dense_kernel = fn;
         EXPECT_TRUE(dense_gemm(a, b, policy) == serial)
             << d.label << " kernel=" << kernel << " threads=" << threads;
       }
@@ -131,9 +133,9 @@ TEST(KernelDifferential, NmKernelsAgreeAcrossFamiliesOnRandomShapes) {
     const MatrixF b = random_dense(d.k, d.n, Dist::kNormalStd1, rng);
     const MatrixF oracle = gemm_ref(dense, b);
     std::map<std::string, MatrixF> canon;
-    for (const auto& kernel : GemmDispatch::instance().nm_kernels()) {
+    for (const auto& [kernel, fn] : nm_kernels()) {
       ExecPolicy one_policy;
-      one_policy.nm_kernel = kernel;
+      one_policy.nm_kernel = fn;
       ThreadPool one(1);
       one_policy.pool = &one;
       const MatrixF serial = nm_gemm(a, b, one_policy);
@@ -142,7 +144,7 @@ TEST(KernelDifferential, NmKernelsAgreeAcrossFamiliesOnRandomShapes) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.nm_kernel = kernel;
+        policy.nm_kernel = fn;
         EXPECT_TRUE(nm_gemm(a, b, policy) == serial)
             << d.label << " kernel=" << kernel << " threads=" << threads;
       }
@@ -161,12 +163,12 @@ TEST(KernelDifferential, BatchKernelsMatchLoopedSinglesOnRaggedMixes) {
     for (const Index w : d.widths)
       bs.push_back(random_dense(d.k, w, Dist::kNormalStd1, rng));
 
-    for (const auto& kernel : GemmDispatch::instance().dense_kernels()) {
+    for (const auto& [kernel, fn] : dense_kernels()) {
       for (const std::size_t threads : kSweepThreads) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.dense_kernel = kernel;
+        policy.dense_kernel = fn;
         const auto batch = dense_gemm_batch(aw, bs, policy);
         ASSERT_EQ(batch.size(), bs.size());
         for (std::size_t q = 0; q < bs.size(); ++q)
@@ -175,13 +177,13 @@ TEST(KernelDifferential, BatchKernelsMatchLoopedSinglesOnRaggedMixes) {
               << " item=" << q;
       }
     }
-    for (const auto& kernel : GemmDispatch::instance().nm_kernels()) {
+    for (const auto& [kernel, fn] : nm_kernels()) {
       for (const std::size_t threads : kSweepThreads) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.nm_kernel = kernel;
-        const auto batch = nm_gemm_batch(an, bs, policy);
+        policy.nm_kernel = fn;
+        const auto batch = testing::call_kernel(fn, an, bs, pool);
         ASSERT_EQ(batch.size(), bs.size());
         for (std::size_t q = 0; q < bs.size(); ++q)
           EXPECT_TRUE(batch[q] == nm_gemm(an, bs[q], policy))
@@ -194,7 +196,7 @@ TEST(KernelDifferential, BatchKernelsMatchLoopedSinglesOnRaggedMixes) {
 
 TEST(KernelDifferential, MixedPatternSeriesAgreesAcrossFamilies) {
   // The full TASD pipeline (mixed 2:8+1:8 decomposition, two series
-  // terms) under each registered nm kernel: families agree bitwise
+  // terms) under each table nm kernel: families agree bitwise
   // internally and with the functional model to tolerance.
   for (const Draw& d : make_draws(7401)) {
     Rng rng(7402);
@@ -205,9 +207,9 @@ TEST(KernelDifferential, MixedPatternSeriesAgreesAcrossFamilies) {
     const TasdSeriesGemm series(dec);
     const MatrixF functional = gemm_ref(dec.approximation(), b);
     std::map<std::string, MatrixF> canon;
-    for (const auto& kernel : GemmDispatch::instance().nm_kernels()) {
+    for (const auto& [kernel, fn] : nm_kernels()) {
       ExecPolicy policy;
-      policy.nm_kernel = kernel;
+      policy.nm_kernel = fn;
       check_family(canon, kernel, series.multiply(b, policy), functional,
                    d.label);
     }

@@ -1,4 +1,4 @@
-// Stored-order oracle for the N:M kernels: every registered N:M kernel,
+// Stored-order oracle for the N:M kernels: every table N:M kernel,
 // and TasdSeriesGemm over a whole series, must reproduce bit-for-bit the
 // chain that walks each output element's stored values term by term in
 // series order, columns ascending — one std::fma per value for the FMA
@@ -111,15 +111,15 @@ TEST(KernelOracle, NmKernelsMatchStoredOrderChainBitwise) {
     bs.push_back(random_dense(kCols, width, Dist::kNormalStd1, rng));
 
   const TasdSeriesGemm series(plan);
-  for (const auto& kernel : GemmDispatch::instance().nm_kernels()) {
+  for (const auto& [kernel, fn] : nm_kernels()) {
     const bool fused = rounding_family(kernel) == "fma";
     for (const std::size_t threads : {1u, 3u}) {
       ThreadPool pool(threads);
       ExecPolicy policy;
       policy.pool = &pool;
-      policy.nm_kernel = kernel;
-      const std::string ctx =
-          "kernel=" + kernel + " threads=" + std::to_string(threads);
+      policy.nm_kernel = fn;
+      const std::string ctx = "kernel=" + std::string(kernel) +
+                              " threads=" + std::to_string(threads);
       for (const MatrixF& b : bs) {
         const std::string at = ctx + " width=" + std::to_string(b.cols());
         for (std::size_t t = 0; t < plan->terms.size(); ++t)

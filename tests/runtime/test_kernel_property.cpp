@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "core/decompose.hpp"
+#include "kernel_families.hpp"
 #include "runtime/dense_gemm.hpp"
 #include "runtime/nm_gemm.hpp"
 #include "tensor/gemm_ref.hpp"
@@ -59,8 +60,8 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelCase{"2:4+2:8", 0.7, 16, 30, 5},  // ragged K
                       KernelCase{"1:4", 1.0, 4, 7, 3}));      // tiny ragged
 
-// --- Registry-wide property sweep: every registered kernel name (scalar
-// and AVX2 families) × threads {0, 1, 2, 5, 8}. Each kernel must (a)
+// --- Table-wide property sweep: every kernel in the table (scalar and
+// AVX2 families) × threads {0, 1, 2, 5, 8}. Each kernel must (a)
 // agree with the tensor/gemm_ref oracle to float tolerance, (b) be
 // bit-identical to its own 1-thread run, and (c) on a ragged batch mix
 // be bit-identical to looping itself over single right-hand sides.
@@ -74,9 +75,9 @@ TEST(KernelRegistrySweep, EveryDenseKernelMatchesOracleAndItsSerialSelf) {
   const MatrixF a = random_dense(13, 30, Dist::kNormalStd1, rng);
   const MatrixF b = random_dense(30, 43, Dist::kNormalStd1, rng);
   const MatrixF oracle = gemm_ref(a, b);
-  for (const auto& kernel : GemmDispatch::instance().dense_kernels()) {
+  for (const auto& [kernel, fn] : dense_kernels()) {
     ExecPolicy serial_policy;
-    serial_policy.dense_kernel = kernel;
+    serial_policy.dense_kernel = fn;
     ThreadPool one(1);
     serial_policy.pool = &one;
     const MatrixF reference = dense_gemm(a, b, serial_policy);
@@ -85,7 +86,7 @@ TEST(KernelRegistrySweep, EveryDenseKernelMatchesOracleAndItsSerialSelf) {
       ThreadPool pool(threads);
       ExecPolicy policy;
       policy.pool = &pool;
-      policy.dense_kernel = kernel;
+      policy.dense_kernel = fn;
       EXPECT_TRUE(dense_gemm(a, b, policy) == reference)
           << kernel << " threads=" << threads;
     }
@@ -100,9 +101,9 @@ TEST(KernelRegistrySweep, EveryNmKernelMatchesOracleAndItsSerialSelf) {
   const sparse::NMSparseMatrix a = d.terms[0].compressed();
   const MatrixF b = random_dense(40, 37, Dist::kNormalStd1, rng);
   const MatrixF oracle = gemm_ref(d.terms[0].dense, b);
-  for (const auto& kernel : GemmDispatch::instance().nm_kernels()) {
+  for (const auto& [kernel, fn] : nm_kernels()) {
     ExecPolicy serial_policy;
-    serial_policy.nm_kernel = kernel;
+    serial_policy.nm_kernel = fn;
     ThreadPool one(1);
     serial_policy.pool = &one;
     const MatrixF reference = nm_gemm(a, b, serial_policy);
@@ -111,7 +112,7 @@ TEST(KernelRegistrySweep, EveryNmKernelMatchesOracleAndItsSerialSelf) {
       ThreadPool pool(threads);
       ExecPolicy policy;
       policy.pool = &pool;
-      policy.nm_kernel = kernel;
+      policy.nm_kernel = fn;
       EXPECT_TRUE(nm_gemm(a, b, policy) == reference)
           << kernel << " threads=" << threads;
     }
@@ -133,33 +134,30 @@ TEST(KernelRegistrySweep, EveryKernelBatchedMatchesLoopedOnRaggedMixes) {
     std::vector<MatrixF> bs;
     for (Index w : widths)
       bs.push_back(random_dense(36, w, Dist::kNormalStd1, rng));
-    for (const auto& kernel : GemmDispatch::instance().dense_kernels()) {
+    for (const auto& [kernel, fn] : dense_kernels()) {
       ExecPolicy single;
-      single.dense_kernel = kernel;
+      single.dense_kernel = fn;
       std::vector<MatrixF> want;
       for (const auto& b : bs) want.push_back(dense_gemm(aw, b, single));
       for (std::size_t threads : kSweepThreads) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.dense_kernel = kernel;
+        policy.dense_kernel = fn;
         const auto cs = dense_gemm_batch(aw, bs, policy);
         for (std::size_t i = 0; i < cs.size(); ++i)
           EXPECT_TRUE(cs[i] == want[i])
               << kernel << " threads=" << threads << " item=" << i;
       }
     }
-    for (const auto& kernel : GemmDispatch::instance().nm_kernels()) {
+    for (const auto& [kernel, fn] : nm_kernels()) {
       ExecPolicy single;
-      single.nm_kernel = kernel;
+      single.nm_kernel = fn;
       std::vector<MatrixF> want;
       for (const auto& b : bs) want.push_back(nm_gemm(an, b, single));
       for (std::size_t threads : kSweepThreads) {
         ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.nm_kernel = kernel;
-        const auto cs = nm_gemm_batch(an, bs, policy);
+        const auto cs = testing::call_kernel(fn, an, bs, pool);
         for (std::size_t i = 0; i < cs.size(); ++i)
           EXPECT_TRUE(cs[i] == want[i])
               << kernel << " threads=" << threads << " item=" << i;

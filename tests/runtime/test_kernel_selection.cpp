@@ -1,5 +1,5 @@
 // Kernel auto-selection: CompileOptions' "auto" names resolve through
-// GemmDispatch::best_*() at compile() time — the static fallback chain
+// best_dense()/best_nm() at compile() time — the static fallback chain
 // avx2 > scalar, walking down when runtime detection (or the
 // TASD_DISABLE_AVX2 escape hatch the scalar CI leg sets) removes the
 // AVX2 family. On a scalar-only pool "auto" must bind the tiled kernels
@@ -41,14 +41,17 @@ std::vector<std::optional<TasdConfig>> mixed_configs() {
 
 TEST(KernelSelection, AutoResolvesToBestAtCompileTime) {
   const auto engine = compile(tiny_net(), mixed_configs(), {});
-  const auto& dispatch = GemmDispatch::instance();
   const auto& opt = engine.options();
-  // The artifact's bound names are concrete registry names, never the
-  // "auto" sentinel, and equal the registry's best picks.
-  EXPECT_EQ(opt.dense_kernel, dispatch.best_dense());
-  EXPECT_EQ(opt.nm_kernel, dispatch.best_nm());
+  // The artifact's bound names are concrete table names, never the
+  // "auto" sentinel, and equal the table's best picks.
+  EXPECT_EQ(opt.dense_kernel, best_dense().name);
+  EXPECT_EQ(opt.nm_kernel, best_nm().name);
+  // The policy run()/run_batch() execute under carries the same picks,
+  // already resolved to kernel pointers.
+  EXPECT_EQ(engine.policy().dense_kernel, best_dense().fn);
+  EXPECT_EQ(engine.policy().nm_kernel, best_nm().fn);
   if (avx2_available()) {
-    // Static chain head: the AVX2 family when registered.
+    // Static chain head: the AVX2 family when available.
     EXPECT_EQ(opt.dense_kernel, "dense-avx2");
     EXPECT_EQ(opt.nm_kernel, "nm-avx2");
   } else {
@@ -91,26 +94,6 @@ TEST(KernelSelection, AutoSelectedKernelsStayBitExact) {
           << "threads=" << threads << " item=" << q;
     EXPECT_EQ(at.run(1, b), dense_direct) << "threads=" << threads;
   }
-}
-
-TEST(KernelSelection, EmptyNamesKeepRegistryDefaults) {
-  // "" (the pre-auto spelling) still means the registry defaults, which
-  // stay scalar — existing callers that pinned the defaults keep their
-  // exact bits regardless of what hardware the process lands on.
-  CompileOptions opt;
-  opt.dense_kernel.clear();
-  opt.nm_kernel.clear();
-  const auto engine = compile(tiny_net(), mixed_configs(), opt);
-  EXPECT_EQ(engine.options().dense_kernel, "");
-  Rng rng(9300);
-  const MatrixF b =
-      random_dense(tiny_net().layers[0].k, 5, Dist::kNormalStd1, rng);
-  CompileOptions scalar;
-  scalar.dense_kernel = "tiled-parallel";
-  scalar.nm_kernel = "row-parallel";
-  const auto pinned = compile(tiny_net(), mixed_configs(), scalar);
-  EXPECT_EQ(engine.run(0, b), pinned.run(0, b));
-  EXPECT_EQ(engine.run(1, b), pinned.run(1, b));
 }
 
 TEST(KernelSelection, ScalarFallbackSelectionIsBitExactToPinnedScalar) {

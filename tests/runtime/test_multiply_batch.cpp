@@ -1,8 +1,8 @@
-// Bit-exactness of the batched serving path: dense_gemm_batch,
-// nm_gemm_batch and TasdSeriesGemm::multiply_batch must produce outputs
-// `==` to looping the same kernel over single right-hand sides, at every
-// thread count, for every registered kernel, across ragged batch sizes
-// and ragged per-item widths.
+// Bit-exactness of the batched serving path: dense_gemm_batch, the N:M
+// table kernels called on a batch, and TasdSeriesGemm::multiply_batch
+// must produce outputs `==` to looping the same kernel over single
+// right-hand sides, at every thread count, for every table kernel, across
+// ragged batch sizes and ragged per-item widths.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "core/decompose.hpp"
 #include "core/plan_cache.hpp"
+#include "kernel_families.hpp"
 #include "runtime/dense_gemm.hpp"
 #include "runtime/gemm_dispatch.hpp"
 #include "runtime/nm_gemm.hpp"
@@ -49,16 +50,16 @@ TEST(MultiplyBatch, DenseBatchBitIdenticalToSingleLoop) {
   const MatrixF a = random_dense(33, 50, Dist::kNormalStd1, rng);
   for (const auto& widths : batch_shapes()) {
     const auto bs = make_batch(a.cols(), widths, rng);
-    for (const std::string& kernel : GemmDispatch::instance().dense_kernels()) {
+    for (const auto& [kernel, fn] : dense_kernels()) {
       ExecPolicy single;
-      single.dense_kernel = kernel;
+      single.dense_kernel = fn;
       std::vector<MatrixF> expected;
       for (const auto& b : bs) expected.push_back(dense_gemm(a, b, single));
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.dense_kernel = kernel;
+        policy.dense_kernel = fn;
         const auto cs = dense_gemm_batch(a, bs, policy);
         ASSERT_EQ(cs.size(), bs.size());
         for (std::size_t i = 0; i < cs.size(); ++i)
@@ -77,17 +78,14 @@ TEST(MultiplyBatch, NmBatchBitIdenticalToSingleLoop) {
   const sparse::NMSparseMatrix a = d.terms[0].compressed();
   for (const auto& widths : batch_shapes()) {
     const auto bs = make_batch(a.cols(), widths, rng);
-    for (const std::string& kernel : GemmDispatch::instance().nm_kernels()) {
+    for (const auto& [kernel, fn] : nm_kernels()) {
       ExecPolicy single;
-      single.nm_kernel = kernel;
+      single.nm_kernel = fn;
       std::vector<MatrixF> expected;
       for (const auto& b : bs) expected.push_back(nm_gemm(a, b, single));
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
-        ExecPolicy policy;
-        policy.pool = &pool;
-        policy.nm_kernel = kernel;
-        const auto cs = nm_gemm_batch(a, bs, policy);
+        const auto cs = testing::call_kernel(fn, a, bs, pool);
         ASSERT_EQ(cs.size(), bs.size());
         for (std::size_t i = 0; i < cs.size(); ++i)
           EXPECT_TRUE(cs[i] == expected[i])
@@ -105,16 +103,16 @@ TEST(MultiplyBatch, SeriesBatchBitIdenticalToSingleLoop) {
       plan_cache().get_or_build(dense, TasdConfig::parse("4:8+1:8")));
   for (const auto& widths : batch_shapes()) {
     const auto bs = make_batch(series.cols(), widths, rng);
-    for (const std::string& kernel : GemmDispatch::instance().nm_kernels()) {
+    for (const auto& [kernel, fn] : nm_kernels()) {
       ExecPolicy single;
-      single.nm_kernel = kernel;
+      single.nm_kernel = fn;
       std::vector<MatrixF> expected;
       for (const auto& b : bs) expected.push_back(series.multiply(b, single));
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.nm_kernel = kernel;
+        policy.nm_kernel = fn;
         const auto cs = series.multiply_batch(bs, policy);
         ASSERT_EQ(cs.size(), bs.size());
         for (std::size_t i = 0; i < cs.size(); ++i)
@@ -145,7 +143,10 @@ TEST(MultiplyBatch, EmptyBatchReturnsEmpty) {
   const MatrixF a = random_dense(8, 8, Dist::kNormalStd1, rng);
   EXPECT_TRUE(dense_gemm_batch(a, {}).empty());
   const auto d = decompose(a, TasdConfig::parse("2:4"));
-  EXPECT_TRUE(nm_gemm_batch(d.terms[0].compressed(), {}).empty());
+  const sparse::NMSparseMatrix an = d.terms[0].compressed();
+  for (const auto& [kernel, fn] : nm_kernels())
+    EXPECT_TRUE(testing::call_kernel(fn, an, {}, default_pool()).empty())
+        << kernel;
   const TasdSeriesGemm series(d);
   EXPECT_TRUE(series.multiply_batch({}).empty());
 }

@@ -4,6 +4,11 @@
 // stress the partition (m=1, non-multiple-of-tile N, ragged K).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/cpu_features.hpp"
 #include "common/error.hpp"
@@ -36,9 +41,9 @@ const Shape kShapes[] = {
 const std::size_t kThreadCounts[] = {0, 1, 2, 3, 5, 8};
 
 TEST(ParallelKernels, DenseBitIdenticalAcrossThreadCounts) {
-  // Every registered dense kernel (scalar and SIMD alike) must match its
+  // Every table dense kernel (scalar and SIMD alike) must match its
   // own 1-thread run bitwise at every thread count.
-  for (const std::string& kernel : GemmDispatch::instance().dense_kernels()) {
+  for (const auto& [kernel, fn] : dense_kernels()) {
     for (const auto& s : kShapes) {
       Rng rng(100 + s.m + s.k + s.n);
       const MatrixF a = random_dense(s.m, s.k, Dist::kNormalStd1, rng);
@@ -47,14 +52,14 @@ TEST(ParallelKernels, DenseBitIdenticalAcrossThreadCounts) {
       ThreadPool serial(1);
       ExecPolicy serial_policy;
       serial_policy.pool = &serial;
-      serial_policy.dense_kernel = kernel;
+      serial_policy.dense_kernel = fn;
       const MatrixF reference = dense_gemm(a, b, serial_policy);
 
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.dense_kernel = kernel;
+        policy.dense_kernel = fn;
         const MatrixF c = dense_gemm(a, b, policy);
         EXPECT_TRUE(c == reference) << kernel << " " << s.m << "x" << s.k
                                     << "x" << s.n << " threads=" << threads;
@@ -64,7 +69,7 @@ TEST(ParallelKernels, DenseBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelKernels, NmBitIdenticalAcrossThreadCounts) {
-  for (const std::string& kernel : GemmDispatch::instance().nm_kernels()) {
+  for (const auto& [kernel, fn] : nm_kernels()) {
     for (const auto& s : kShapes) {
       Rng rng(200 + s.m + s.k + s.n);
       const MatrixF dense =
@@ -76,14 +81,14 @@ TEST(ParallelKernels, NmBitIdenticalAcrossThreadCounts) {
       ThreadPool serial(1);
       ExecPolicy serial_policy;
       serial_policy.pool = &serial;
-      serial_policy.nm_kernel = kernel;
+      serial_policy.nm_kernel = fn;
       const MatrixF reference = nm_gemm(a, b, serial_policy);
 
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.nm_kernel = kernel;
+        policy.nm_kernel = fn;
         EXPECT_TRUE(nm_gemm(a, b, policy) == reference)
             << kernel << " " << s.m << "x" << s.k << "x" << s.n
             << " threads=" << threads;
@@ -93,7 +98,7 @@ TEST(ParallelKernels, NmBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelKernels, TasdSeriesBitIdenticalAcrossThreadCounts) {
-  for (const std::string& kernel : GemmDispatch::instance().nm_kernels()) {
+  for (const auto& [kernel, fn] : nm_kernels()) {
     for (const auto& s : kShapes) {
       Rng rng(300 + s.m + s.k + s.n);
       const MatrixF dense =
@@ -105,14 +110,14 @@ TEST(ParallelKernels, TasdSeriesBitIdenticalAcrossThreadCounts) {
       ThreadPool serial(1);
       ExecPolicy serial_policy;
       serial_policy.pool = &serial;
-      serial_policy.nm_kernel = kernel;
+      serial_policy.nm_kernel = fn;
       const MatrixF reference = series.multiply(b, serial_policy);
 
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
-        policy.nm_kernel = kernel;
+        policy.nm_kernel = fn;
         EXPECT_TRUE(series.multiply(b, policy) == reference)
             << kernel << " " << s.m << "x" << s.k << "x" << s.n
             << " threads=" << threads;
@@ -150,16 +155,24 @@ TEST(ParallelKernels, CoreTasdGemmMatchesSerialTermMajorLoop) {
   EXPECT_TRUE(tasd_gemm(d, b) == expected);
 }
 
-TEST(GemmDispatchRegistry, ListsBuiltinsAndDefaults) {
-  // One slot per operand kind: the scalar built-ins, plus the AVX2
-  // kernel when runtime detection registered it, and nothing else
-  // (names other tests register start with "test-").
-  auto& dispatch = GemmDispatch::instance();
-  const auto builtins = [](std::vector<std::string> names) {
-    std::erase_if(names,
-                  [](const std::string& n) { return n.starts_with("test-"); });
-    return names;
-  };
+// ExecPolicy is what every run()/run_batch() copies: a pool pointer and
+// two kernel pointers. Trivially copyable means no string, std::function
+// or other owning member rides the execution path.
+static_assert(std::is_trivially_copyable_v<ExecPolicy>);
+
+/// The names of a kernel table, sorted.
+template <class Entry>
+std::vector<std::string> names_of(std::span<const Entry> table) {
+  std::vector<std::string> names;
+  for (const Entry& e : table) names.emplace_back(e.name);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(KernelTable, ListsBuiltinsAndDefaults) {
+  // One table per operand kind: the scalar built-ins, plus the AVX2
+  // kernel when runtime detection allows it, and nothing else. The
+  // scalar default heads each table.
   std::vector<std::string> dense = {"reference", "tiled-parallel",
                                     "tiled-serial"};
   std::vector<std::string> nm = {"row-parallel", "serial"};
@@ -167,67 +180,45 @@ TEST(GemmDispatchRegistry, ListsBuiltinsAndDefaults) {
     dense.insert(dense.begin(), "dense-avx2");
     nm.insert(nm.begin(), "nm-avx2");
   }
-  EXPECT_EQ(builtins(dispatch.dense_kernels()), dense);
-  EXPECT_EQ(builtins(dispatch.nm_kernels()), nm);
+  EXPECT_EQ(names_of(dense_kernels()), dense);
+  EXPECT_EQ(names_of(nm_kernels()), nm);
+  EXPECT_EQ(dense_kernels().front().name, "tiled-parallel");
+  EXPECT_EQ(nm_kernels().front().name, "row-parallel");
 }
 
-TEST(GemmDispatchRegistry, SimdKernelsFollowRuntimeDetection) {
-  // The AVX2 family is registered exactly when the executing CPU/OS can
-  // run it (and TASD_DISABLE_AVX2 is unset); best_*() walks the
-  // avx2 > scalar chain over whatever registered. The scalar CI leg
-  // exercises the lower rung on capable hardware via the disable flag.
-  // (Registration itself is pinned by ListsBuiltinsAndDefaults.)
-  auto& dispatch = GemmDispatch::instance();
+TEST(KernelTable, SimdKernelsFollowRuntimeDetection) {
+  // The AVX2 family is in the table exactly when the executing CPU/OS
+  // can run it (and TASD_DISABLE_AVX2 is unset); best_*() walks the
+  // avx2 > scalar chain over the table. The scalar CI leg exercises the
+  // lower rung on capable hardware via the disable flag. (Table
+  // membership itself is pinned by ListsBuiltinsAndDefaults.)
   if (avx2_available()) {
-    EXPECT_EQ(dispatch.best_dense(), "dense-avx2");
-    EXPECT_EQ(dispatch.best_nm(), "nm-avx2");
+    EXPECT_EQ(best_dense().name, "dense-avx2");
+    EXPECT_EQ(best_nm().name, "nm-avx2");
   } else {
-    EXPECT_EQ(dispatch.best_dense(), "tiled-parallel");
-    EXPECT_EQ(dispatch.best_nm(), "row-parallel");
+    EXPECT_EQ(best_dense().name, "tiled-parallel");
+    EXPECT_EQ(best_nm().name, "row-parallel");
   }
+  EXPECT_EQ(lookup_dense(best_dense().name).fn, best_dense().fn);
+  EXPECT_EQ(lookup_nm(best_nm().name).fn, best_nm().fn);
 }
 
-TEST(GemmDispatchRegistry, UnknownKernelThrows) {
-  EXPECT_THROW(GemmDispatch::instance().dense("no-such-kernel"), Error);
-  EXPECT_THROW(GemmDispatch::instance().nm("no-such-kernel"), Error);
-  Rng rng(606);
-  const MatrixF a = random_dense(4, 4, Dist::kNormalStd1, rng);
-  ExecPolicy policy;
-  policy.dense_kernel = "no-such-kernel";
-  EXPECT_THROW(dense_gemm(a, a, policy), Error);
-  const std::vector<MatrixF> bs(2, a);
-  EXPECT_THROW(dense_gemm_batch(a, bs, policy), Error);
+TEST(KernelTable, UnknownKernelThrows) {
+  EXPECT_THROW(lookup_dense("no-such-kernel"), Error);
+  EXPECT_THROW(lookup_nm("no-such-kernel"), Error);
 }
 
-TEST(GemmDispatchRegistry, AllDenseKernelsAgree) {
+TEST(KernelTable, AllDenseKernelsAgree) {
   Rng rng(707);
   const MatrixF a = random_dense(13, 29, Dist::kNormalStd1, rng);
   const MatrixF b = random_dense(29, 17, Dist::kNormalStd1, rng);
   const MatrixF oracle = gemm_ref(a, b);
-  for (const auto& name : GemmDispatch::instance().dense_kernels()) {
+  for (const auto& [name, fn] : dense_kernels()) {
     ExecPolicy policy;
-    policy.dense_kernel = name;
+    policy.dense_kernel = fn;
     EXPECT_TRUE(allclose(dense_gemm(a, b, policy), oracle, 1e-5, 1e-5))
         << "kernel " << name;
   }
-}
-
-TEST(GemmDispatchRegistry, RegisteredKernelIsDispatchable) {
-  auto& dispatch = GemmDispatch::instance();
-  dispatch.register_dense("test-zero",
-                          [](const MatrixF&, std::span<const MatrixF>,
-                             std::span<MatrixF> cs, ThreadPool&) {
-                            for (MatrixF& c : cs)
-                              for (float& v : c.flat()) v = -1.0F;
-                          });
-  Rng rng(808);
-  const MatrixF a = random_dense(3, 3, Dist::kNormalStd1, rng);
-  ExecPolicy policy;
-  policy.dense_kernel = "test-zero";
-  const MatrixF c = dense_gemm(a, a, policy);
-  for (float v : c.flat()) EXPECT_EQ(v, -1.0F);
-  // The default is untouched by registering a named kernel.
-  EXPECT_TRUE(allclose(dense_gemm(a, a), gemm_ref(a, a), 1e-5, 1e-5));
 }
 
 }  // namespace

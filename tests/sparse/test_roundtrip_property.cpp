@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "sparse/csr.hpp"
 #include "sparse/nm_matrix.hpp"
 #include "sparse/view.hpp"
 #include "tensor/generator.hpp"
@@ -36,15 +35,6 @@ TEST_P(NmRoundTrip, ViewCompressDecompressExact) {
   EXPECT_LE(compressed.nnz(),
             (p.rows * ((p.cols + p.m - 1) / p.m)) *
                 static_cast<Index>(p.n));
-}
-
-TEST_P(NmRoundTrip, CsrRoundTripExact) {
-  const auto p = GetParam();
-  Rng rng(2000 + p.n * 13 + p.m + p.cols);
-  const MatrixF dense =
-      random_unstructured(p.rows, p.cols, p.density, Dist::kNormalStd1, rng);
-  const CSRMatrix csr(dense);
-  EXPECT_EQ(csr.to_dense(), dense);
 }
 
 INSTANTIATE_TEST_SUITE_P(

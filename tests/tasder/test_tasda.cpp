@@ -100,7 +100,9 @@ TEST(TasdaLayerWise, RespectsAllowTasdAFlag) {
   const auto r =
       tasda_layer_wise(f.model, f.hw, f.calib, f.eval, f.reference);
   for (auto* l : f.model.gemm_layers()) {
-    if (!l->allow_tasd_a()) EXPECT_FALSE(l->tasd_a().has_value());
+    if (!l->allow_tasd_a()) {
+      EXPECT_FALSE(l->tasd_a().has_value());
+    }
   }
   (void)r;
 }

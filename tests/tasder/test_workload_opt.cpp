@@ -116,7 +116,9 @@ TEST(WorkloadOpt, StcM4LimitedToSingle24) {
   const auto hw = hw_profile_from(accel::ArchConfig::ttc_stc_m4());
   const auto execs = optimize_workload(net, hw);
   for (const auto& e : execs) {
-    if (e.weight_cfg) EXPECT_EQ(e.weight_cfg->str(), "2:4");
+    if (e.weight_cfg) {
+      EXPECT_EQ(e.weight_cfg->str(), "2:4");
+    }
   }
 }
 

@@ -56,7 +56,9 @@ TEST(WorkloadPermutation, NoEffectOnTasdAWorkloads) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].act_cfg.has_value(), b[i].act_cfg.has_value());
-    if (a[i].act_cfg) EXPECT_EQ(a[i].act_cfg->str(), b[i].act_cfg->str());
+    if (a[i].act_cfg) {
+      EXPECT_EQ(a[i].act_cfg->str(), b[i].act_cfg->str());
+    }
   }
 }
 

@@ -65,7 +65,7 @@ TEST(Mlp, GradientMatchesFiniteDifference) {
 
   const float eps = 1e-3F;
   for (std::size_t li = 0; li < 2; ++li) {
-    for (const auto [r, c] : {std::pair<Index, Index>{0, 0},
+    for (const auto& [r, c] : {std::pair<Index, Index>{0, 0},
                               std::pair<Index, Index>{2, 1}}) {
       const double numeric =
           (loss_with_nudge(li, r, c, eps) - loss_with_nudge(li, r, c, -eps)) /
