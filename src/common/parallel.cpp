@@ -1,6 +1,7 @@
 #include "common/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <deque>
 #include <exception>
@@ -187,6 +188,20 @@ ThreadPool& default_pool() {
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& fn) {
   default_pool().parallel_for(begin, end, grain, fn);
+}
+
+void for_each_index(ThreadPool& pool, std::size_t count,
+                    const std::function<void(std::size_t)>& fn) {
+  // One parallel_for chunk per thread; each chunk drains the shared
+  // counter. Inline (serial or nested), the first chunk claims every
+  // index in order and the rest find the counter exhausted.
+  std::atomic<std::size_t> next{0};
+  pool.parallel_for(0, std::min(pool.num_threads(), count), 1,
+                    [&](std::size_t, std::size_t) {
+                      for (std::size_t i = next.fetch_add(1); i < count;
+                           i = next.fetch_add(1))
+                        fn(i);
+                    });
 }
 
 }  // namespace tasd::rt

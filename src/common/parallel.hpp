@@ -78,4 +78,15 @@ std::size_t default_num_threads();
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& fn);
 
+/// Run fn(i) once for every i in [0, count), one task per index: each
+/// participating thread claims the next unclaimed index from a shared
+/// counter. For tasks of uneven cost (one per network layer), where
+/// parallel_for's contiguous chunks would leave threads idle behind the
+/// largest chunk. Results are independent of the thread count when
+/// fn(i) writes only state owned by index i. Serial pools and nested
+/// calls run every index inline, in order; the first exception is
+/// rethrown after all claimed tasks finish.
+void for_each_index(ThreadPool& pool, std::size_t count,
+                    const std::function<void(std::size_t)>& fn);
+
 }  // namespace tasd::rt

@@ -1,6 +1,7 @@
 #include "dnn/layer_binding.hpp"
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 
 namespace tasd::dnn {
 
@@ -9,16 +10,15 @@ std::vector<LayerBinding> bind_layers(
     const std::vector<std::optional<TasdConfig>>& configs) {
   TASD_CHECK_MSG(configs.size() == net.layers.size(),
                  "config list must align with workload layers");
-  std::vector<LayerBinding> out;
-  out.reserve(net.layers.size());
-  for (std::size_t i = 0; i < net.layers.size(); ++i) {
-    LayerBinding b;
-    b.name = net.layers[i].name;
-    b.weight = materialize_weight(net.layers[i]);
-    b.positions = net.layers[i].n;
-    b.config = configs[i];
-    out.push_back(std::move(b));
-  }
+  // One task per layer on the default pool; task i writes only out[i],
+  // so the bindings are the same at every thread count.
+  std::vector<LayerBinding> out(net.layers.size());
+  rt::for_each_index(rt::default_pool(), out.size(), [&](std::size_t i) {
+    out[i].name = net.layers[i].name;
+    out[i].weight = materialize_weight(net.layers[i]);
+    out[i].positions = net.layers[i].n;
+    out[i].config = configs[i];
+  });
   return out;
 }
 

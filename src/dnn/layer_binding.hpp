@@ -33,7 +33,8 @@ struct LayerBinding {
 
 /// Bind a full-scale workload's layers under per-layer configs (entries
 /// align with net.layers; nullopt = dense). Weights are materialized
-/// from each layer's seed, deterministically.
+/// from each layer's seed, deterministically, one layer per task on
+/// rt::default_pool().
 std::vector<LayerBinding> bind_layers(
     const NetworkWorkload& net,
     const std::vector<std::optional<TasdConfig>>& configs);

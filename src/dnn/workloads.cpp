@@ -1,6 +1,7 @@
 #include "dnn/workloads.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -312,7 +313,7 @@ MatrixF materialize_weight(const GemmWorkload& layer) {
     w = sparse::nm_view(
         w, sparse::NMPattern(layer.structured_n, layer.structured_m));
   } else if (layer.weight_density < 1.0) {
-    w = magnitude_prune(w, 1.0 - layer.weight_density);
+    w = magnitude_prune(std::move(w), 1.0 - layer.weight_density);
   }
   return w;
 }

@@ -34,9 +34,24 @@ struct WorkloadOptOptions {
 /// (chosen against materialized weights); dense-weight networks get
 /// TASD-A if the hardware has TASD units. Architectures without
 /// structured support (empty pattern set) get plain executions.
+///
+/// Layers are searched in parallel on rt::default_pool(); the result is
+/// identical at every thread count. Each TASD-W choice leaves its plan
+/// in plan_cache(), so compiling the same weights under the chosen
+/// configs decomposes nothing.
 std::vector<accel::LayerExecution> optimize_workload(
     const dnn::NetworkWorkload& net, const HwProfile& hw,
     const WorkloadOptOptions& opt = {});
+
+/// Non-zeros a series whose terms all share block size M drops from a
+/// matrix with the given M-block histogram (histogram[k] = blocks with
+/// k non-zeros, sparse::block_nnz_histogram). Each term keeps a block's
+/// N largest remaining values, so a block with k non-zeros keeps
+/// min(k, ΣN) and drops max(0, k − ΣN): the result equals
+/// build_plan(matrix, config).stats.dropped_nnz without decomposing.
+/// Throws unless every term's M is histogram.size() - 1.
+Index series_dropped_nnz(const std::vector<Index>& histogram,
+                         const TasdConfig& config);
 
 /// Plain executions (no TASD) for baselines.
 std::vector<accel::LayerExecution> plain_executions(

@@ -1,7 +1,9 @@
 #include "tensor/generator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 namespace tasd {
@@ -74,28 +76,48 @@ Tensor4D random_tensor(Index n, Index c, Index h, Index w, double density,
   return t;
 }
 
-MatrixF magnitude_prune(const MatrixF& dense, double target_sparsity) {
+MatrixF magnitude_prune(MatrixF dense, double target_sparsity) {
   TASD_CHECK_MSG(target_sparsity >= 0.0 && target_sparsity <= 1.0,
                  "sparsity " << target_sparsity << " out of [0,1]");
-  MatrixF out = dense;
-  const Index total = out.size();
+  const Index total = dense.size();
   const auto to_zero = static_cast<Index>(
       std::llround(target_sparsity * static_cast<double>(total)));
-  if (to_zero == 0) return out;
+  if (to_zero == 0) return dense;
 
-  std::vector<Index> order(total);
-  std::iota(order.begin(), order.end(), Index{0});
-  auto flat = out.flat();
-  // nth_element on |value| finds the pruning threshold set in O(n).
-  std::nth_element(order.begin(), order.begin() + static_cast<long>(to_zero),
-                   order.end(), [&flat](Index a, Index b) {
-                     const float fa = std::fabs(flat[a]);
-                     const float fb = std::fabs(flat[b]);
-                     if (fa != fb) return fa < fb;
-                     return a < b;  // deterministic tie-break
-                   });
-  for (Index i = 0; i < to_zero; ++i) flat[order[i]] = 0.0F;
-  return out;
+  // The pruned set is the first `to_zero` elements in (|w|, index)
+  // order. With the sign bit cleared, a float's bits order like its
+  // magnitude (and -0.0 keys like +0.0), so a two-pass radix select over
+  // the 16-bit halves of that key finds the threshold key of the last
+  // pruned element, and how many elements lie strictly below it.
+  auto flat = dense.flat();
+  const auto key = [](float v) {
+    return std::bit_cast<std::uint32_t>(v) & 0x7FFFFFFFU;
+  };
+  std::vector<Index> hist(Index{1} << 16);
+  for (float v : flat) ++hist[key(v) >> 16];
+  Index below = 0;  // elements whose key is below the current bucket
+  std::uint32_t high = 0;
+  while (below + hist[high] < to_zero) below += hist[high++];
+  std::fill(hist.begin(), hist.end(), Index{0});
+  for (float v : flat)
+    if ((key(v) >> 16) == high) ++hist[key(v) & 0xFFFFU];
+  std::uint32_t low = 0;
+  while (below + hist[low] < to_zero) below += hist[low++];
+  const std::uint32_t threshold = (high << 16) | low;
+
+  // Zero every key below the threshold, then ties at the threshold in
+  // index order until `to_zero` are gone. Pruned elements become +0.0.
+  Index ties = to_zero - below;
+  for (float& v : flat) {
+    const std::uint32_t k = key(v);
+    if (k < threshold) {
+      v = 0.0F;
+    } else if (k == threshold && ties > 0) {
+      v = 0.0F;
+      --ties;
+    }
+  }
+  return dense;
 }
 
 }  // namespace tasd

@@ -35,9 +35,11 @@ MatrixF random_nm_structured(Index rows, Index cols, int n, int m, Dist dist,
 Tensor4D random_tensor(Index n, Index c, Index h, Index w, double density,
                        Dist dist, Rng& rng);
 
-/// Prune a dense matrix to a target sparsity by zeroing the
-/// smallest-magnitude elements (global magnitude pruning). Returns the
-/// pruned copy; ties are broken by element order.
-MatrixF magnitude_prune(const MatrixF& dense, double target_sparsity);
+/// Prune a matrix to a target sparsity by zeroing the
+/// llround(target_sparsity * size) smallest-magnitude elements (global
+/// magnitude pruning); ties are broken by element order. Takes the
+/// matrix by value and prunes it in place: move a matrix in to prune it
+/// without a copy. Every pruned element becomes +0.0.
+MatrixF magnitude_prune(MatrixF dense, double target_sparsity);
 
 }  // namespace tasd

@@ -232,5 +232,47 @@ TEST(ThreadPool, DefaultPoolIsConsistent) {
   EXPECT_EQ(count.load(), 17);
 }
 
+TEST(ForEachIndex, RunsEveryIndexExactlyOnce) {
+  for (std::size_t threads : {0u, 1u, 2u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    for (std::size_t count : {0u, 1u, 2u, 5u, 37u}) {
+      std::vector<std::atomic<int>> hits(count);
+      for_each_index(pool, count, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < count; ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "threads=" << threads
+                                     << " count=" << count << " i=" << i;
+    }
+  }
+}
+
+TEST(ForEachIndex, SerialAndNestedCallsRunInIndexOrder) {
+  ThreadPool serial(1);
+  std::vector<std::size_t> order;
+  for_each_index(serial, 6, [&](std::size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+
+  // Inside a task the nested call runs inline, in order, on that thread.
+  ThreadPool pool(4);
+  std::vector<std::vector<std::size_t>> inner(8);
+  for_each_index(pool, inner.size(), [&](std::size_t i) {
+    for_each_index(pool, 5, [&](std::size_t j) { inner[i].push_back(j); });
+  });
+  for (const auto& v : inner)
+    EXPECT_EQ(v, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ForEachIndex, PropagatesTaskException) {
+  ThreadPool pool(3);
+  EXPECT_THROW(for_each_index(pool, 10,
+                              [](std::size_t i) {
+                                if (i == 7) throw Error("task failure");
+                              }),
+               Error);
+  // The pool stays usable.
+  std::atomic<int> count{0};
+  for_each_index(pool, 10, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 10);
+}
+
 }  // namespace
 }  // namespace tasd::rt

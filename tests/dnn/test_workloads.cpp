@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dnn/layer_binding.hpp"
+
 namespace tasd::dnn {
 namespace {
 
@@ -100,6 +102,24 @@ TEST(Workloads, MaterializeWeightDeterministic) {
   const MatrixF a = materialize_weight(net.layers[5]);
   const MatrixF b = materialize_weight(net.layers[5]);
   EXPECT_EQ(a, b);
+}
+
+TEST(Workloads, BindLayersKeepsLayerOrderAndWeights) {
+  // bind_layers materializes layers in parallel; every slot must still
+  // hold its own layer's name, width, config and seeded weight.
+  const auto net = decode_step_workload(128, 96, true, 9);
+  std::vector<std::optional<TasdConfig>> configs(net.layers.size());
+  configs[0] = TasdConfig::parse("2:4");
+  configs[3] = TasdConfig::parse("1:4");
+  const auto bound = bind_layers(net, configs);
+  ASSERT_EQ(bound.size(), net.layers.size());
+  for (std::size_t i = 0; i < bound.size(); ++i) {
+    EXPECT_EQ(bound[i].name, net.layers[i].name);
+    EXPECT_EQ(bound[i].positions, net.layers[i].n);
+    EXPECT_EQ(bound[i].config, configs[i]);
+    EXPECT_EQ(bound[i].weight, materialize_weight(net.layers[i])) << i;
+  }
+  EXPECT_THROW(bind_layers(net, {}), Error);
 }
 
 TEST(Workloads, ResNet34SmallerThanResNet50) {

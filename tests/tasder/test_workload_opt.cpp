@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/approx_stats.hpp"
 
 namespace tasd::tasder {
@@ -109,6 +111,58 @@ TEST(WorkloadOpt, NoTasdUnitsDisablesTasdA) {
   const auto hw = hw_profile_from(accel::ArchConfig::vegeta_m8_no_tasd());
   const auto execs = optimize_workload(net, hw);
   for (const auto& e : execs) EXPECT_FALSE(e.act_cfg.has_value());
+}
+
+TEST(WorkloadOpt, MixedBlockSizeSeriesAreJudgedByDecomposition) {
+  // A profile whose candidates mix M within one series ("2:4+1:8") has
+  // no single block histogram; the search must still pick the first
+  // candidate whose decomposition drops within budget.
+  HwProfile hw;
+  hw.name = "mixed-m";
+  hw.patterns = {sparse::NMPattern(2, 4), sparse::NMPattern(1, 8),
+                 sparse::NMPattern(2, 8)};
+  hw.max_terms = 2;
+  const auto candidates = hw.candidate_configs();
+  bool mixed = false;
+  for (const auto& c : candidates)
+    mixed = mixed || c.terms.front().m != c.terms.back().m;
+  ASSERT_TRUE(mixed);
+
+  auto net = dnn::resnet34_workload(true, 3);
+  net.layers.resize(8);
+  const WorkloadOptOptions opt;
+  const auto execs = optimize_workload(net, hw, opt);
+  ASSERT_EQ(execs.size(), net.layers.size());
+  for (const auto& e : execs) {
+    const MatrixF w = dnn::materialize_weight(e.layer);
+    std::optional<TasdConfig> want;
+    double kept = 0.0;
+    for (const auto& cfg : candidates) {
+      const auto stats = approx_stats(w, cfg);
+      if (stats.dropped_nnz_fraction() <= opt.weight_drop_budget) {
+        want = cfg;
+        kept = static_cast<double>(stats.kept_nnz) /
+               static_cast<double>(w.size());
+        break;
+      }
+    }
+    EXPECT_EQ(e.weight_cfg, want) << e.layer.name;
+    if (want) {
+      ASSERT_TRUE(e.weight_kept_fraction.has_value());
+      EXPECT_EQ(*e.weight_kept_fraction, kept) << e.layer.name;
+    }
+  }
+}
+
+TEST(WorkloadOpt, SeriesDroppedNnzRejectsMismatchedHistograms) {
+  const std::vector<Index> hist4 = {1, 2, 3, 4, 5};  // blocks of M = 4
+  // 4 blocks hold 3 non-zeros and 5 hold 4: a series keeping 2 per
+  // block drops 4 * 1 + 5 * 2.
+  EXPECT_EQ(series_dropped_nnz(hist4, TasdConfig::parse("2:4")), 14u);
+  EXPECT_EQ(series_dropped_nnz(hist4, TasdConfig::parse("2:4+1:4")), 5u);
+  EXPECT_THROW(series_dropped_nnz(hist4, TasdConfig::parse("2:8")), Error);
+  EXPECT_THROW(series_dropped_nnz(hist4, TasdConfig::parse("2:4+1:8")),
+               Error);
 }
 
 TEST(WorkloadOpt, StcM4LimitedToSingle24) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <numeric>
+
 #include "sparse/pattern.hpp"
 
 namespace tasd {
@@ -83,6 +88,68 @@ TEST(Generator, MagnitudePruneFullTargetZeroesAll) {
   Rng rng(14);
   MatrixF m = random_dense(5, 5, Dist::kNormalStd1, rng);
   EXPECT_EQ(magnitude_prune(m, 1.0).nnz(), 0u);
+}
+
+/// Reference pruning: order elements by (|w|, index) and zero the first
+/// llround(sparsity * size) of them with +0.0.
+MatrixF reference_prune(MatrixF m, double sparsity) {
+  auto flat = m.flat();
+  const auto to_zero = static_cast<Index>(
+      std::llround(sparsity * static_cast<double>(flat.size())));
+  std::vector<Index> order(flat.size());
+  std::iota(order.begin(), order.end(), Index{0});
+  std::sort(order.begin(), order.end(), [&flat](Index a, Index b) {
+    const float fa = std::fabs(flat[a]);
+    const float fb = std::fabs(flat[b]);
+    if (fa != fb) return fa < fb;
+    return a < b;
+  });
+  for (Index i = 0; i < to_zero; ++i) flat[order[i]] = 0.0F;
+  return m;
+}
+
+bool same_bits(const MatrixF& a, const MatrixF& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(Generator, MagnitudePruneTiesFollowIndexOrder) {
+  // Few distinct magnitudes, both signs and both zeros, so almost every
+  // cut falls inside a tie group; the result must match the (|w|, index)
+  // reference bit for bit, including which -0.0 entries survive.
+  const float values[] = {0.0F, -0.0F, 0.5F, -0.5F, 1.0F, -1.0F,
+                          2.0F, -2.0F, 1e-40F, -1e-40F};
+  Rng rng(77);
+  int cases = 0;
+  for (Index rows : {1u, 3u, 17u}) {
+    for (Index cols : {1u, 8u, 31u}) {
+      for (double sparsity : {0.0, 0.1, 0.33, 0.5, 0.77, 0.95, 1.0}) {
+        for (int rep = 0; rep < 4; ++rep) {
+          MatrixF m(rows, cols);
+          for (float& v : m.flat())
+            v = values[static_cast<std::size_t>(rng.uniform_int(0, 9))];
+          const MatrixF want = reference_prune(m, sparsity);
+          const MatrixF got = magnitude_prune(m, sparsity);
+          EXPECT_TRUE(same_bits(got, want))
+              << rows << "x" << cols << " sparsity " << sparsity << " rep "
+              << rep;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 252);
+}
+
+TEST(Generator, MagnitudePrunePrunedNegativeZeroBecomesPositive) {
+  MatrixF m(1, 4, {-0.0F, -0.0F, -3.0F, 3.0F});
+  const MatrixF pruned = magnitude_prune(m, 0.25);
+  EXPECT_FALSE(std::signbit(pruned(0, 0)));  // pruned: written as +0.0
+  EXPECT_TRUE(std::signbit(pruned(0, 1)));   // kept as it was
+  // The cut falls inside the {-3, 3} tie group: the lower index goes.
+  const MatrixF three = magnitude_prune(m, 0.75);
+  EXPECT_EQ(three(0, 2), 0.0F);
+  EXPECT_EQ(three(0, 3), 3.0F);
 }
 
 TEST(Generator, TensorDensityTarget) {
