@@ -92,8 +92,7 @@ int main() {
   const bool run_exact = served == series.multiply(b, engine.policy());
   const bool batch_exact = batch_out[0] == served && batch_out[1] == served;
   std::cout << "\ncompiled artifact: " << engine.layer_count() << " layer, "
-            << engine.plan_bytes() << " plan bytes resident ("
-            << engine.artifact_bytes() << " with weights); kernels: "
+            << engine.plan_bytes() << " plan bytes resident; kernels: "
             << engine.options().dense_kernel << " / "
             << engine.options().nm_kernel << "; run() == "
             << "direct series multiply: "
@@ -102,8 +101,8 @@ int main() {
             << (batch_exact ? "bit-exact" : "MISMATCH") << '\n';
 
   // 6. Save the artifact and reload it cold — the deployment hand-off.
-  // load_artifact() rebuilds the plan from the serialized compressed
-  // terms (zero decompositions) and must reproduce run() bit-for-bit.
+  // load_artifact() reads the plan's term streams back (zero
+  // decompositions) and must reproduce run() bit-for-bit.
   const std::string path = "quickstart.tasdart";
   rt::save_artifact(engine, path);
   const rt::CompiledNetwork reloaded = rt::load_artifact(path);

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <type_traits>
 #include <utility>
 
 #include "artifact/format.hpp"
@@ -26,9 +27,14 @@ std::size_t align_up(std::size_t v, std::size_t alignment) {
 
 // ------------------------------------------------------------- writing
 
-/// Serialize one bound layer into `w` (a fresh per-section buffer).
-/// Variable-length payloads are padded to 8 bytes so every fixed-width
-/// field keeps its natural alignment (mmap-friendliness contract).
+static_assert(std::is_same_v<Index, std::uint64_t>,
+              "row pointers are stored as u64 and read in bulk");
+
+/// Serialize one bound layer into `w` (a fresh per-section buffer). A
+/// dense layer stores its weight; a configured one stores its plan, each
+/// term exactly as NMSparseMatrix holds it. Variable-length payloads are
+/// padded to 8 bytes so every fixed-width field keeps its natural
+/// alignment (mmap-friendliness contract).
 void write_section(const CompiledNetwork::BoundLayer& l, io::ByteWriter& w) {
   w.u32(static_cast<std::uint32_t>(l.name.size()));
   w.bytes(l.name.data(), l.name.size());
@@ -36,13 +42,12 @@ void write_section(const CompiledNetwork::BoundLayer& l, io::ByteWriter& w) {
   w.u64(l.m);
   w.u64(l.k);
   w.u64(l.n);
-  w.u32(l.plan ? 1 : 0);
-  w.u32(0);  // reserved; keeps the weight array 8-aligned
-  w.f32_array(l.weight.flat());
-  if (!l.plan) return;
+  if (!l.plan) {
+    w.f32_array(l.weight.flat());
+    return;
+  }
 
   const DecompositionPlan& plan = *l.plan;
-  w.pad_to(8);
   w.u64(plan.config.terms.size());
   for (const auto& pattern : plan.config.terms) {
     w.u32(static_cast<std::uint32_t>(pattern.n));
@@ -58,33 +63,11 @@ void write_section(const CompiledNetwork::BoundLayer& l, io::ByteWriter& w) {
   w.f64(s.mse);
   w.f64(s.rel_frobenius_error);
   for (const auto& term : plan.terms) {
-    w.u32(static_cast<std::uint32_t>(term.pattern().n));
-    w.u32(static_cast<std::uint32_t>(term.pattern().m));
-    w.u64(term.rows());
-    w.u64(term.cols());
-    w.u64(term.values().size());
+    w.u64(term.nnz());
     w.f32_array(term.values());
-    // On disk a term keeps the block encoding: an in-block index per
-    // value, then one end offset per (row, M-block). Both derive from
-    // the stream's columns, which ascend within a row.
-    const auto m = static_cast<Index>(term.pattern().m);
-    const auto& col = term.col_index();
-    const auto& row_ptr = term.row_ptr();
-    std::vector<std::uint8_t> in_block_index(col.size());
-    for (std::size_t s = 0; s < col.size(); ++s)
-      in_block_index[s] = static_cast<std::uint8_t>(col[s] % m);
-    w.bytes(in_block_index.data(), in_block_index.size());
+    w.u32_array(term.col_index());
     w.pad_to(8);
-    const Index blocks_per_row = term.blocks_per_row();
-    w.u64(term.rows() * blocks_per_row + 1);
-    w.u64(0);
-    for (Index r = 0; r < term.rows(); ++r) {
-      Index s = row_ptr[r];
-      for (Index b = 1; b <= blocks_per_row; ++b) {
-        while (s < row_ptr[r + 1] && col[s] < b * m) ++s;
-        w.u64(s);
-      }
-    }
+    w.u64_array(term.row_ptr());
   }
 }
 
@@ -181,160 +164,90 @@ ParsedToc parse_header_and_toc(std::span<const unsigned char> bytes,
   return toc;
 }
 
-/// Deserialize one layer section (already CRC-verified) into a
-/// PreboundLayer. Throws kInternal on any structural inconsistency.
-detail::PreboundLayer read_section(std::span<const unsigned char> bytes,
-                                   bool configured, const std::string& path,
-                                   std::size_t layer_index) {
-  const std::string context = "artifact '" + path + "' layer " +
-                              std::to_string(layer_index) + " section";
-  io::ByteReader r(bytes, context);
-  detail::PreboundLayer l;
+/// Deserialize one layer section (already CRC-verified). The reader
+/// checks only bounds and counts; NMSparseMatrix::from_parts (and the
+/// NMPattern constructor) check the structure of every term, and their
+/// kInvalidArgument becomes kInternal here: on this path an
+/// inconsistency means the bytes lie — data loss.
+dnn::LayerBinding read_section(std::span<const unsigned char> bytes,
+                               bool configured, const std::string& path,
+                               std::size_t layer_index) {
+  const std::string layer = "layer " + std::to_string(layer_index);
+  const auto fail = [&](const std::string& what) {
+    fail_corrupt(path, layer + " " + what);
+  };
+  io::ByteReader r(bytes, "artifact '" + path + "' " + layer + " section");
+  dnn::LayerBinding l;
   const std::uint32_t name_len = r.u32();
-  if (name_len > r.remaining())
-    fail_corrupt(path, "layer " + std::to_string(layer_index) +
-                           " name extends past its section");
+  if (name_len > r.remaining()) fail("name extends past its section");
   l.name.resize(name_len);
   r.bytes(l.name.data(), name_len);
   r.skip_pad(8);
   const std::uint64_t m = r.u64();
   const std::uint64_t k = r.u64();
-  const std::uint64_t positions = r.u64();
-  const std::uint32_t flag = r.u32();
-  (void)r.u32();  // reserved
-  if ((flag != 0) != configured)
-    fail_corrupt(path, "layer " + std::to_string(layer_index) +
-                           " section flag disagrees with the TOC");
+  l.positions = static_cast<Index>(r.u64());
   if (m >= (1ULL << 32) || k >= (1ULL << 32) || m * k >= (1ULL << 32))
-    fail_corrupt(path, "layer " + std::to_string(layer_index) +
-                           " has a size-overflow shape header");
-  if (m * k * sizeof(float) > r.remaining())
-    fail_corrupt(path, "layer " + std::to_string(layer_index) +
-                           " weight extends past its section");
-  l.positions = static_cast<Index>(positions);
-  l.weight = MatrixF(static_cast<Index>(m), static_cast<Index>(k));
-  r.f32_array(l.weight.flat());
+    fail("has a size-overflow shape header");
+
   if (!configured) {
-    if (r.remaining() != 0)
-      fail_corrupt(path, "layer " + std::to_string(layer_index) +
-                             " section has trailing bytes");
-    return l;
-  }
-
-  r.skip_pad(8);
-  auto plan = std::make_shared<DecompositionPlan>();
-  plan->rows = static_cast<Index>(m);
-  plan->cols = static_cast<Index>(k);
-  const std::uint64_t term_count = r.u64();
-  if (term_count > 64)
-    fail_corrupt(path, "layer " + std::to_string(layer_index) +
-                           " claims an implausible series order");
-  std::vector<sparse::NMPattern> patterns;
-  patterns.reserve(term_count);
-  for (std::uint64_t t = 0; t < term_count; ++t) {
-    const std::uint32_t pn = r.u32();
-    const std::uint32_t pm = r.u32();
-    if (pm == 0 || pn > pm || pm > 256)
-      fail_corrupt(path, "layer " + std::to_string(layer_index) +
-                             " has an invalid N:M pattern");
-    patterns.emplace_back(static_cast<int>(pn), static_cast<int>(pm));
-  }
-  plan->config = TasdConfig(patterns);
-  ApproxStats& s = plan->stats;
-  s.original_nnz = static_cast<Index>(r.u64());
-  s.kept_nnz = static_cast<Index>(r.u64());
-  s.dropped_nnz = static_cast<Index>(r.u64());
-  s.original_magnitude = r.f64();
-  s.kept_magnitude = r.f64();
-  s.dropped_magnitude = r.f64();
-  s.mse = r.f64();
-  s.rel_frobenius_error = r.f64();
-
-  plan->terms.reserve(term_count);
-  for (std::uint64_t t = 0; t < term_count; ++t) {
-    const std::uint32_t pn = r.u32();
-    const std::uint32_t pm = r.u32();
-    const std::uint64_t rows = r.u64();
-    const std::uint64_t cols = r.u64();
-    if (patterns[t].n != static_cast<int>(pn) ||
-        patterns[t].m != static_cast<int>(pm) || rows != m || cols != k)
-      fail_corrupt(path, "layer " + std::to_string(layer_index) + " term " +
-                             std::to_string(t) +
-                             " disagrees with its plan header");
-    const std::uint64_t value_count = r.u64();
-    if (value_count > m * k ||
-        value_count * (sizeof(float) + 1) > r.remaining())
-      fail_corrupt(path, "layer " + std::to_string(layer_index) + " term " +
-                             std::to_string(t) + " claims " +
-                             std::to_string(value_count) + " values in a " +
-                             std::to_string(m) + "x" + std::to_string(k) +
-                             " matrix");
-    std::vector<float> values(value_count);
-    r.f32_array(values);
-    const auto in_block_index = r.take(value_count);
-    r.skip_pad(8);
-    const std::uint64_t offsets_count = r.u64();
-    const std::uint64_t blocks_per_row =
-        (cols + pm - 1) / pm;  // pm > 0 checked above
-    const auto term_fail = [&](const std::string& what) {
-      fail_corrupt(path, "layer " + std::to_string(layer_index) + " term " +
-                             std::to_string(t) + " " + what);
-    };
-    if (offsets_count != rows * blocks_per_row + 1)
-      term_fail("has a wrong block-offset count");
-    if (offsets_count > r.remaining() / sizeof(std::uint64_t))
-      term_fail("block offsets extend past its section");
-    const auto raw = r.take(offsets_count * sizeof(std::uint64_t));
-    const auto offset = [&raw](std::uint64_t i) {
-      std::uint64_t v;
-      std::memcpy(&v, raw.data() + i * sizeof v, sizeof v);
-      return io::from_little_endian(v);
-    };
-    if (offset(0) != 0 || offset(offsets_count - 1) != value_count)
-      term_fail("has block offsets that do not span its values");
-
-    // Decode the block encoding straight into the stream, reading the
-    // offsets in place: they are never materialized. One pass per row
-    // walks its values, advancing to the block each one ends in, and
-    // checks every offset it passes for monotonicity. Monotone offsets
-    // and in-block indices < M are this encoding's invariants;
-    // from_parts then checks the stream's.
-    std::vector<std::uint32_t> col_index(value_count);
-    std::vector<Index> row_ptr(rows + 1, 0);
-    bool monotone = true;
-    for (std::uint64_t row = 0; row < rows; ++row) {
-      const std::uint64_t first = row * blocks_per_row;
-      const std::uint64_t last = first + blocks_per_row;
-      const std::uint64_t row_end = offset(last);
-      if (offset(first) > row_end || row_end > value_count)
-        term_fail("has non-monotone block offsets");
-      std::uint64_t g = first;
-      for (std::uint64_t s = offset(first); s < row_end; ++s) {
-        for (; offset(g + 1) <= s; ++g) monotone &= offset(g) <= offset(g + 1);
-        const std::uint64_t c = (g - first) * pm + in_block_index[s];
-        if (in_block_index[s] >= pm || c >= cols)
-          term_fail("has an in-block index out of range");
-        col_index[s] = static_cast<std::uint32_t>(c);
-      }
-      for (; g < last; ++g) monotone &= offset(g) <= offset(g + 1);
-      if (!monotone) term_fail("has non-monotone block offsets");
-      row_ptr[row + 1] = static_cast<Index>(row_end);
-    }
+    if (m * k * sizeof(float) > r.remaining())
+      fail("weight extends past its section");
+    l.weight = MatrixF(static_cast<Index>(m), static_cast<Index>(k));
+    r.f32_array(l.weight.flat());
+  } else {
+    auto plan = std::make_shared<DecompositionPlan>();
+    plan->rows = static_cast<Index>(m);
+    plan->cols = static_cast<Index>(k);
+    const std::uint64_t term_count = r.u64();
+    if (term_count > r.remaining() / sizeof(std::uint64_t))
+      fail("series extends past its section");
     try {
-      plan->terms.push_back(sparse::NMSparseMatrix::from_parts(
-          patterns[t], static_cast<Index>(rows), static_cast<Index>(cols),
-          std::move(values), std::move(col_index), std::move(row_ptr)));
+      std::vector<sparse::NMPattern> patterns;
+      for (std::uint64_t t = 0; t < term_count; ++t) {
+        const auto n = static_cast<int>(r.u32());
+        patterns.emplace_back(n, static_cast<int>(r.u32()));
+      }
+      plan->config = TasdConfig(std::move(patterns));
+      ApproxStats& s = plan->stats;
+      s.original_nnz = static_cast<Index>(r.u64());
+      s.kept_nnz = static_cast<Index>(r.u64());
+      s.dropped_nnz = static_cast<Index>(r.u64());
+      s.original_magnitude = r.f64();
+      s.kept_magnitude = r.f64();
+      s.dropped_magnitude = r.f64();
+      s.mse = r.f64();
+      s.rel_frobenius_error = r.f64();
+
+      for (std::size_t t = 0; t < plan->config.terms.size(); ++t) {
+        const std::uint64_t value_count = r.u64();
+        if (value_count > m * k ||
+            value_count * (sizeof(float) + sizeof(std::uint32_t)) >
+                r.remaining())
+          fail("term " + std::to_string(t) + " claims " +
+               std::to_string(value_count) + " values in a " +
+               std::to_string(m) + "x" + std::to_string(k) + " matrix");
+        std::vector<float> values(value_count);
+        r.f32_array(values);
+        std::vector<std::uint32_t> col_index(value_count);
+        r.u32_array(col_index);
+        r.skip_pad(8);
+        if (m + 1 > r.remaining() / sizeof(std::uint64_t))
+          fail("term " + std::to_string(t) +
+               " row pointers extend past its section");
+        std::vector<Index> row_ptr(m + 1);
+        r.u64_array(row_ptr);
+        plan->terms.push_back(sparse::NMSparseMatrix::from_parts(
+            plan->config.terms[t], plan->rows, plan->cols, std::move(values),
+            std::move(col_index), std::move(row_ptr)));
+      }
     } catch (const Error& e) {
-      // from_parts checks the stream invariants with kInvalidArgument;
-      // on this path an inconsistency means the bytes lie — data loss.
-      term_fail(std::string("is structurally inconsistent: ") + e.what());
+      if (e.code() != Error::Code::kInvalidArgument) throw;
+      fail(std::string("has a structurally inconsistent plan: ") + e.what());
     }
+    l.config = plan->config;
+    l.plan = std::move(plan);
   }
-  if (r.remaining() != 0)
-    fail_corrupt(path, "layer " + std::to_string(layer_index) +
-                           " section has trailing bytes");
-  l.config = plan->config;
-  l.plan = std::shared_ptr<const DecompositionPlan>(std::move(plan));
+  if (r.remaining() != 0) fail("section has trailing bytes");
   return l;
 }
 
@@ -357,7 +270,9 @@ void save_artifact(const CompiledNetwork& net, const std::string& path) {
       align_up(toc_offset + toc_bytes, artifact::kSectionAlign);
   for (std::size_t i = 0; i < net.layer_count(); ++i) {
     const CompiledNetwork::BoundLayer& l = net.layer(i);
-    const auto fp = content_fingerprint(l.weight);
+    // A configured layer's entry is its plan's cache key; a dense
+    // layer's hashes the weight the section stores.
+    const auto fp = l.plan ? l.fingerprint : content_fingerprint(l.weight);
     const auto& body = sections[i].data();
     toc.u64(fp.lo);
     toc.u64(fp.hi);
@@ -429,7 +344,7 @@ CompiledNetwork load_artifact(const std::string& path,
   const auto bytes = io::read_file(path);
   const ParsedToc toc = parse_header_and_toc(bytes, path);
 
-  std::vector<detail::PreboundLayer> layers;
+  std::vector<dnn::LayerBinding> layers;
   layers.reserve(toc.entries.size());
   for (std::size_t i = 0; i < toc.entries.size(); ++i) {
     const TocEntry& e = toc.entries[i];
@@ -438,18 +353,21 @@ CompiledNetwork load_artifact(const std::string& path,
     if (crc32(section.data(), section.size()) != e.section_crc)
       fail_corrupt(path,
                    "layer " + std::to_string(i) + " section CRC mismatch");
-    detail::PreboundLayer l = read_section(
+    dnn::LayerBinding l = read_section(
         section, (e.flags & artifact::kFlagConfigured) != 0, path, i);
-    // The fingerprint binds the deserialized plan to the weight bytes it
-    // was decomposed from — the same key the PlanCache uses, so a
-    // mismatch means the section pairs a weight with someone else's
-    // plan (or a corruption both CRCs missed).
-    if (content_fingerprint(l.weight) != e.fingerprint)
+    if (l.plan) {
+      // The recorded fingerprint is the plan's PlanCache key: adopting
+      // it under that key lets later compiles of the same weight hit.
+      l.fingerprint = e.fingerprint;
+      if (opt.measure.use_plan_cache)
+        l.plan = plan_cache().insert_preloaded(e.fingerprint, l.plan);
+    } else if (content_fingerprint(l.weight) != e.fingerprint) {
+      // A dense weight must hash back to its entry (a corruption both
+      // CRCs missed, or a section paired with another layer's entry).
       fail_corrupt(path, "layer " + std::to_string(i) + " ('" + l.name +
                              "') weight does not match its recorded "
                              "content fingerprint");
-    if (l.plan && opt.measure.use_plan_cache)
-      l.plan = plan_cache().insert_preloaded(l.weight, l.plan);
+    }
     layers.push_back(std::move(l));
   }
   return detail::assemble_network(toc.name, std::move(layers), opt);

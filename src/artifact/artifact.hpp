@@ -4,14 +4,15 @@
 // runtime-model pattern: ahead-of-time compile to a deployable blob,
 // the runtime just executes it).
 //
-// save_artifact() serializes everything rt::compile() derived from the
-// weights: per layer the weight matrix, the TASD config, the plan's
-// compressed N:M term buffers and its quality stats, each section keyed
-// by the weight's 128-bit content fingerprint (the PlanCache key).
-// load_artifact() rebuilds the plans straight from the compressed
-// buffers — no decomposition runs — adopts them into the process-wide
-// PlanCache (so later rt::compile() calls on the same weights hit too)
-// and assembles a fully bound CompiledNetwork.
+// save_artifact() serializes what each layer executes: a dense layer's
+// weight, or a configured layer's TASD config, quality stats and N:M
+// term streams (the in-memory arrays, verbatim) and no weight. Each
+// section is keyed by a 128-bit content fingerprint: for a configured
+// layer its plan's PlanCache key, taken at compile. load_artifact()
+// reads the streams back — no decomposition runs — adopts the plans
+// into the process-wide PlanCache under those keys (so later
+// rt::compile() calls on the same weights hit too) and assembles a
+// fully bound CompiledNetwork.
 //
 // Kernel bindings: an artifact stores no kernel names — they re-resolve
 // through rt::best_dense()/best_nm() on the loading host, so an artifact
@@ -21,8 +22,9 @@
 // Failure contract (asserted by tests/artifact/):
 //  * wrong magic or unsupported version → Error(kFailedPrecondition)
 //    (the file is not something this reader speaks)
-//  * any corruption — truncation, short section, CRC mismatch,
-//    fingerprint mismatch, inconsistent plan — → Error(kInternal)
+//  * any corruption — truncation, short section, CRC mismatch, dense
+//    weight/fingerprint mismatch, a term that NMSparseMatrix::from_parts
+//    rejects — → Error(kInternal)
 //    (data loss: the file claims to be ours but its bytes lie)
 //  * unopenable path → Error(kInvalidArgument)
 // A load either returns a verified network or throws; it never binds
@@ -40,17 +42,18 @@
 
 namespace tasd::rt {
 
-/// Serialize `net` to `path` in TASDART1 format. The file fully
-/// reproduces the network's layers (weights, configs, plans); compile
-/// options and kernel bindings are intentionally not stored (see
-/// load_artifact). Throws tasd::Error on I/O failure.
+/// Serialize `net` to `path` (format version artifact::kVersion). The
+/// file fully reproduces the network's layers (dense weights, configs,
+/// plans); compile options and kernel bindings are intentionally not
+/// stored (see load_artifact). Throws tasd::Error on I/O failure.
 void save_artifact(const CompiledNetwork& net, const std::string& path);
 
-/// Load a TASDART1 file into a fully bound CompiledNetwork, performing
-/// zero decompositions: plans are reconstructed from the serialized
-/// compressed buffers, verified (per-section CRC + weight content
-/// fingerprint), and — when opt.measure.use_plan_cache — adopted into
-/// the process-wide PlanCache. `opt` plays the same role as in
+/// Load an artifact into a fully bound CompiledNetwork, performing zero
+/// decompositions: plans are read back from the serialized term streams,
+/// verified (per-section CRC, NMSparseMatrix::from_parts; dense weights
+/// also against their content fingerprint), and — when
+/// opt.measure.use_plan_cache — adopted into the process-wide
+/// PlanCache. `opt` plays the same role as in
 /// rt::compile(): pool binding, kernel selection ("auto" re-resolves on
 /// this host), measurement knobs. See the failure contract above.
 CompiledNetwork load_artifact(const std::string& path,
@@ -59,7 +62,9 @@ CompiledNetwork load_artifact(const std::string& path,
 /// Header + TOC of an artifact file, for tooling and tests. Verifies
 /// magic, version and the TOC CRC but does not touch section payloads.
 struct ArtifactLayerInfo {
-  ContentFingerprint fingerprint;  ///< of the layer's weight bytes
+  /// Of the weight bytes (dense), or the plan's PlanCache key, which is
+  /// the fingerprint of the weight it decomposes (configured).
+  ContentFingerprint fingerprint;
   bool configured = false;         ///< carries a TASD config + plan
   std::uint64_t section_offset = 0;
   std::uint64_t section_size = 0;

@@ -1,4 +1,6 @@
-// TASDART1 on-disk format constants + CRC (docs/artifact.md).
+// TASDART on-disk format constants + CRC (docs/artifact.md). The magic
+// reads "TASDART1"; the header's version field (kVersion, now 2) is the
+// compatibility gate.
 //
 // Layout (all integers little-endian; offsets from file start):
 //
@@ -8,8 +10,9 @@
 //   TOC      layer_count fixed 48-byte entries (kTocEntryBytes), one per
 //            layer, CRC'd as a whole (header stores the CRC)
 //   sections one per layer, each 64-byte aligned, individually CRC'd
-//            (the TOC stores offset/size/CRC and the weight's 128-bit
-//            content fingerprint)
+//            (the TOC stores offset/size/CRC and a 128-bit content
+//            fingerprint: of the weight for a dense layer, the plan's
+//            PlanCache key for a configured one)
 //
 // Header bytes [44, 64) are reserved: the writer zeroes them and the
 // reader ignores them, together with any bytes after the last section.
@@ -19,14 +22,12 @@
 // line boundaries, and the TOC locates every payload without parsing
 // the sections.
 //
-// A configured section stores each series term in the block encoding:
-// values f32[nnz], in-block index u8[nnz], then one u64 end offset per
-// (row, M-block) plus a leading 0. In memory a term is a per-row stream
-// (values, u32 columns, row pointers; sparse/nm_matrix.hpp), so the
-// writer derives the block arrays from the columns and the reader
-// decodes them into columns as it reads, checking that the offsets are
-// monotone and every in-block index is < M (docs/artifact.md § On disk
-// vs in memory). No other code knows the block encoding.
+// A dense section stores the weight. A configured section stores no
+// weight, only the plan: the config, its quality stats, and each series
+// term exactly as sparse/nm_matrix.hpp holds it — values f32[nnz],
+// col_index u32[nnz] (padded to 8 bytes), row_ptr u64[rows + 1]. On
+// disk and in memory a term is the same stream, and
+// NMSparseMatrix::from_parts is the one check of its structure.
 //
 // These constants are public so tooling and the corruption-matrix tests
 // (tests/artifact/) can locate and patch specific fields; the reader/
@@ -40,7 +41,9 @@
 namespace tasd::artifact {
 
 inline constexpr char kMagic[8] = {'T', 'A', 'S', 'D', 'A', 'R', 'T', '1'};
-inline constexpr std::uint32_t kVersion = 1;
+/// The one version this reader speaks; files of any other, version 1
+/// included, fail with kFailedPrecondition.
+inline constexpr std::uint32_t kVersion = 2;
 
 /// Fixed header size; the name bytes follow it.
 inline constexpr std::size_t kHeaderBytes = 64;

@@ -170,8 +170,14 @@ PlanCache& PlanCache::instance() {
 
 std::shared_ptr<const DecompositionPlan> PlanCache::get_or_build(
     const MatrixF& matrix, const TasdConfig& config) {
-  const auto fp = content_fingerprint(matrix);
-  PlanKey key{fp.lo, fp.hi, matrix.rows(), matrix.cols(), config.str()};
+  return get_or_build(content_fingerprint(matrix), matrix, config);
+}
+
+std::shared_ptr<const DecompositionPlan> PlanCache::get_or_build(
+    const ContentFingerprint& fingerprint, const MatrixF& matrix,
+    const TasdConfig& config) {
+  PlanKey key{fingerprint.lo, fingerprint.hi, matrix.rows(), matrix.cols(),
+              config.str()};
   {
     MutexLock lock(impl_->mutex);
     if (auto it = impl_->index.find(key); it != impl_->index.end()) {
@@ -200,14 +206,11 @@ std::shared_ptr<const DecompositionPlan> PlanCache::get_or_build(
 }
 
 std::shared_ptr<const DecompositionPlan> PlanCache::insert_preloaded(
-    const MatrixF& matrix, std::shared_ptr<const DecompositionPlan> plan) {
+    const ContentFingerprint& fingerprint,
+    std::shared_ptr<const DecompositionPlan> plan) {
   TASD_CHECK_MSG(plan != nullptr, "insert_preloaded requires a plan");
-  TASD_CHECK_MSG(plan->rows == matrix.rows() && plan->cols == matrix.cols(),
-                 "preloaded plan is " << plan->rows << "x" << plan->cols
-                                      << ", matrix is " << matrix.rows() << "x"
-                                      << matrix.cols());
-  const auto fp = content_fingerprint(matrix);
-  PlanKey key{fp.lo, fp.hi, matrix.rows(), matrix.cols(), plan->config.str()};
+  PlanKey key{fingerprint.lo, fingerprint.hi, plan->rows, plan->cols,
+              plan->config.str()};
 
   MutexLock lock(impl_->mutex);
   ++impl_->stats.preloads;

@@ -59,9 +59,10 @@ DecompositionPlan build_plan(const MatrixF& matrix, const TasdConfig& config);
 /// independent multiply-rotate hash. Cheap relative to a decomposition,
 /// stable across runs and processes, and a simultaneous collision of
 /// both 64-bit halves (plus shape and config) is ~2^-128. The PlanCache
-/// keys on it, and the artifact store (src/artifact/) writes it next to
-/// every serialized section so a load can verify it binds plans to the
-/// weights they were decomposed from.
+/// keys on it. The artifact store (src/artifact/) writes it next to
+/// every serialized section: a configured layer's entry is its plan's
+/// cache key (taken at compile, when the weight was last seen), and a
+/// dense layer's lets a load verify the weight bytes it reads back.
 struct ContentFingerprint {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
@@ -102,16 +103,24 @@ class PlanCache {
   std::shared_ptr<const DecompositionPlan> get_or_build(
       const MatrixF& matrix, const TasdConfig& config);
 
+  /// The same, for a caller that already holds `fingerprint` ==
+  /// content_fingerprint(matrix) and keeps it (rt::compile stores it as
+  /// the layer's artifact key), so the matrix is hashed once.
+  std::shared_ptr<const DecompositionPlan> get_or_build(
+      const ContentFingerprint& fingerprint, const MatrixF& matrix,
+      const TasdConfig& config);
+
   /// Adopt a plan that was built elsewhere (the artifact loader,
-  /// src/artifact/) under exactly the key get_or_build() would use for
-  /// (matrix, plan->config) — so later compiles of the same weights hit
-  /// without decomposing. Counts as neither hit, miss nor decomposition;
-  /// PlanCacheStats::preloads tracks it. The plan's shape and config
-  /// must describe `matrix` (checked). Returns the resident plan: when
-  /// the key is already cached the existing entry wins, preserving
-  /// sharing between artifacts that were loaded or compiled earlier.
+  /// src/artifact/) under the key get_or_build() uses for a matrix with
+  /// this content fingerprint and the plan's shape and config — so later
+  /// compiles of the same weights hit without decomposing. Counts as
+  /// neither hit, miss nor decomposition; PlanCacheStats::preloads tracks
+  /// it. Returns the resident plan: when the key is already cached the
+  /// existing entry wins, preserving sharing between artifacts that were
+  /// loaded or compiled earlier. A null plan throws.
   std::shared_ptr<const DecompositionPlan> insert_preloaded(
-      const MatrixF& matrix, std::shared_ptr<const DecompositionPlan> plan);
+      const ContentFingerprint& fingerprint,
+      std::shared_ptr<const DecompositionPlan> plan);
 
   [[nodiscard]] PlanCacheStats stats() const;
 

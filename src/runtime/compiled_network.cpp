@@ -80,20 +80,6 @@ Index CompiledNetwork::plan_bytes() const {
   return total;
 }
 
-Index CompiledNetwork::artifact_bytes() const {
-  Index total = 0;
-  for (const auto& l : layers_) {
-    total += l.weight.size() * sizeof(float);
-    if (l.plan) {
-      total += l.plan->storage_bytes();
-      // Plan metadata: shape, the config's term patterns, quality stats.
-      total += 2 * sizeof(Index) + sizeof(ApproxStats) +
-               l.plan->config.terms.size() * sizeof(sparse::NMPattern);
-    }
-  }
-  return total;
-}
-
 void CompiledNetwork::validate_input(std::size_t layer_index,
                                      const MatrixF& input,
                                      std::size_t item) const {
@@ -186,6 +172,11 @@ std::vector<LayerTiming> CompiledNetwork::measure() const {
     t.kept_nnz_fraction = l.kept_nnz_fraction;
 
     const MatrixF b = random_dense(t.k, t.n, Dist::kNormalStd1, rng);
+    // A configured layer holds no weight; its dense reference runs on the
+    // same-shape approximation (see measure() in the header).
+    const MatrixF approximation =
+        l.plan ? l.plan->approximation() : MatrixF();
+    const MatrixF& dense = l.plan ? approximation : l.weight;
     // Engage the SIMD power license with untimed passes of BOTH paths
     // before timing either: the first FMA-heavy calls in a process run
     // during the frequency transition, and min-of-repeats would
@@ -196,7 +187,7 @@ std::vector<LayerTiming> CompiledNetwork::measure() const {
     // vector work, not one call, so warm until a small wall-time
     // budget is spent (at least one pass of each path).
     for (Timer warm; warm.millis() < 2.0;) {
-      const MatrixF c = dense_gemm(l.weight, b, p);
+      const MatrixF c = dense_gemm(dense, b, p);
       sink = sink + c(0, 0);
       if (l.series) {
         const MatrixF c2 = l.series->multiply(b, p);
@@ -204,7 +195,7 @@ std::vector<LayerTiming> CompiledNetwork::measure() const {
       }
     }
     t.dense_ms = time_ms_min(opt_.measure.repeats, [&] {
-      const MatrixF c = dense_gemm(l.weight, b, p);
+      const MatrixF c = dense_gemm(dense, b, p);
       sink = sink + c(0, 0);
     });
     if (l.series) {
@@ -221,7 +212,7 @@ std::vector<LayerTiming> CompiledNetwork::measure() const {
 namespace detail {
 
 CompiledNetwork assemble_network(std::string name,
-                                 std::vector<PreboundLayer> layers,
+                                 std::vector<dnn::LayerBinding> layers,
                                  const CompileOptions& opt) {
   TASD_CHECK_MSG(opt.n_divisor >= 1, "n_divisor must be >= 1");
   TASD_CHECK_MSG(opt.query_cols >= 1, "query_cols must be >= 1");
@@ -247,40 +238,43 @@ CompiledNetwork assemble_network(std::string name,
     cn.pool_ = std::make_unique<ThreadPool>(opt.measure.num_threads);
   cn.policy_ = {cn.pool_.get(), dense.fn, nm.fn};
   cn.layers_.reserve(layers.size());
-  for (auto& prebound : layers) {
+  for (auto& binding : layers) {
     CompiledNetwork::BoundLayer l;
-    l.name = std::move(prebound.name);
-    l.m = prebound.weight.rows();
-    l.k = prebound.weight.cols();
-    l.n = prebound.positions;
-    l.weight = std::move(prebound.weight);
-    l.config = std::move(prebound.config);
-    if (prebound.plan) {
+    l.name = std::move(binding.name);
+    l.n = binding.positions;
+    l.config = std::move(binding.config);
+    if (binding.plan) {
       // Prebuilt (deserialized) plan: bind it directly — the zero-
-      // decomposition load path. The plan must describe this layer.
-      TASD_CHECK_MSG(l.config && prebound.plan->config == *l.config,
+      // decomposition load path. It must decompose the layer's config.
+      TASD_CHECK_MSG(l.config && binding.plan->config == *l.config,
                      "prebuilt plan config does not match layer '" << l.name
                                                                    << "'");
-      TASD_CHECK_MSG(prebound.plan->rows == l.m && prebound.plan->cols == l.k,
-                     "prebuilt plan shape " << prebound.plan->rows << "x"
-                                            << prebound.plan->cols
-                                            << " does not match layer '"
-                                            << l.name << "' (" << l.m << "x"
-                                            << l.k << ")");
-      l.plan = std::move(prebound.plan);
+      l.plan = std::move(binding.plan);
+      l.fingerprint = binding.fingerprint;
     } else if (l.config) {
       // The one decomposition of this layer's lifetime: through the
       // shared cache (so sibling artifacts and future compiles reuse
-      // it), or a private plan when the cache is opted out.
+      // it), or a private plan when the cache is opted out. Either way
+      // the weight is hashed once, and the hash is the plan's key.
+      l.fingerprint = content_fingerprint(binding.weight);
       l.plan = opt.measure.use_plan_cache
-                   ? plan_cache().get_or_build(l.weight, *l.config)
+                   ? plan_cache().get_or_build(l.fingerprint, binding.weight,
+                                               *l.config)
                    : std::make_shared<const DecompositionPlan>(
-                         build_plan(l.weight, *l.config));
+                         build_plan(binding.weight, *l.config));
     }
+    // The plan is all a configured layer executes: its weight is not
+    // kept, and goes with `layers`.
     if (l.plan) {
+      l.m = l.plan->rows;
+      l.k = l.plan->cols;
       l.series.emplace(l.plan);
       l.kept_nnz_fraction = static_cast<double>(l.series->nnz()) /
-                            static_cast<double>(l.weight.size());
+                            static_cast<double>(l.m * l.k);
+    } else {
+      l.m = binding.weight.rows();
+      l.k = binding.weight.cols();
+      l.weight = std::move(binding.weight);
     }
     l.kernel = l.series ? nm.name : dense.name;
     l.batch_kernel = l.kernel;
@@ -294,17 +288,7 @@ CompiledNetwork assemble_network(std::string name,
 CompiledNetwork compile(std::string name,
                         std::vector<dnn::LayerBinding> layers,
                         const CompileOptions& opt) {
-  std::vector<detail::PreboundLayer> prebound;
-  prebound.reserve(layers.size());
-  for (auto& binding : layers) {
-    detail::PreboundLayer l;
-    l.name = std::move(binding.name);
-    l.positions = binding.positions;
-    l.weight = std::move(binding.weight);
-    l.config = std::move(binding.config);
-    prebound.push_back(std::move(l));
-  }
-  return detail::assemble_network(std::move(name), std::move(prebound), opt);
+  return detail::assemble_network(std::move(name), std::move(layers), opt);
 }
 
 CompiledNetwork compile(const dnn::NetworkWorkload& net,

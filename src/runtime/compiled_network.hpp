@@ -5,11 +5,13 @@
 // them into an immutable CompiledNetwork, and an inference runtime
 // executes that artifact repeatedly.
 //
-// The artifact owns, per layer, the materialized weight, the bound kernel
-// (dense, or a TasdSeriesGemm over the layer's DecompositionPlan) and the
-// execution policy / thread-pool binding. Plans are prewarmed through the
-// process-wide PlanCache exactly once, at compile time: run(), run_batch()
-// and measure() never decompose anything.
+// The artifact owns, per layer, what that layer executes — the weight of
+// a dense layer, or the DecompositionPlan of a configured one, whose
+// weight is dropped once the plan is bound — plus the bound kernel
+// (dense, or a TasdSeriesGemm over the plan) and the execution policy /
+// thread-pool binding. Plans are prewarmed through the process-wide
+// PlanCache exactly once, at compile time: run(), run_batch() and
+// measure() never decompose anything.
 //
 // Contract (see DESIGN.md § Compile-once / execute-many):
 //  * Immutability — a CompiledNetwork has no mutating methods; every
@@ -136,21 +138,11 @@ class CompiledNetwork;
 
 namespace detail {
 
-/// One layer the way the artifact loader (src/artifact/) reconstructs
-/// it: weight plus an already-built DecompositionPlan instead of a
-/// decomposition request. `plan` null means dense (config must be
-/// nullopt) or, on the compile() path, "decompose per CompileOptions".
-struct PreboundLayer {
-  std::string name;
-  Index positions = 0;
-  MatrixF weight;
-  std::optional<TasdConfig> config;
-  std::shared_ptr<const DecompositionPlan> plan;
-};
-
-/// Assemble an artifact from layers whose plans may be prebuilt: a
-/// layer carrying a plan binds it directly — zero decompositions — and
-/// a configured layer without one decomposes exactly as compile() does.
+/// Assemble an artifact from layer bindings whose plans may be prebuilt:
+/// a binding carrying a plan (the artifact loader's) binds it directly —
+/// zero decompositions — and a configured binding without one decomposes
+/// its weight, through the PlanCache unless measure.use_plan_cache is
+/// off.
 /// Kernel names resolve through the kernel table at assembly time
 /// ("auto" → best_*()), so a deserialized network re-binds the fastest
 /// kernels the *loading* host can run. This is the single constructor
@@ -158,7 +150,7 @@ struct PreboundLayer {
 /// place a kernel is chosen: every layer binds the network-wide
 /// resolution.
 CompiledNetwork assemble_network(std::string name,
-                                 std::vector<PreboundLayer> layers,
+                                 std::vector<dnn::LayerBinding> layers,
                                  const CompileOptions& opt);
 
 }  // namespace detail
@@ -168,15 +160,22 @@ CompiledNetwork assemble_network(std::string name,
 /// Move-only; all methods are const.
 class CompiledNetwork {
  public:
-  /// One bound layer: the owned weight, the chosen series (if any), its
-  /// shared plan, and the full-scale GEMM shape for measurement.
+  /// One bound layer: what it executes (a dense weight, or the chosen
+  /// series and its shared plan) and the full-scale GEMM shape for
+  /// measurement.
   struct BoundLayer {
     std::string name;
     Index m = 0, k = 0, n = 0;  ///< C(m x n) = W(m x k) * X(k x n)
+    /// The dense operand; empty when `plan` is bound, which then holds
+    /// everything the layer executes.
     MatrixF weight;
     std::optional<TasdConfig> config;
     /// Shared, prewarmed decomposition; null for dense layers.
     std::shared_ptr<const DecompositionPlan> plan;
+    /// With `plan`: its PlanCache key, the content fingerprint of the
+    /// weight it decomposes, taken at compile (or read from the
+    /// artifact). Zero for dense layers.
+    ContentFingerprint fingerprint;
     /// Bound structured kernel; engaged exactly when config is.
     std::optional<TasdSeriesGemm> series;
     double kept_nnz_fraction = 0.0;  ///< stored values / total positions
@@ -205,13 +204,6 @@ class CompiledNetwork {
   /// Compressed plan footprint in bytes across configured layers — the
   /// per-artifact memory a serving process holds resident.
   [[nodiscard]] Index plan_bytes() const;
-
-  /// Honest full footprint of everything the artifact store serializes
-  /// for this network: weight bytes + compressed term buffers
-  /// (plan_bytes) + per-plan metadata (shape, config patterns, quality
-  /// stats). plan_bytes() alone understates what a replica must hold
-  /// (and what save_artifact writes) because the weights dominate it.
-  [[nodiscard]] Index artifact_bytes() const;
 
   /// Check one right-hand side against layer(layer_index)'s contract:
   /// the row count always, and value finiteness when the artifact was
@@ -260,7 +252,10 @@ class CompiledNetwork {
 
   /// Measure every layer (dense kernel, and the TASD series where bound)
   /// at the compile-time n_divisor shrink: the Fig. 16 per-layer report.
-  /// Feed the result to conversion_order() / network_latency_ms().
+  /// A configured layer times its dense reference on the same-shape
+  /// plan->approximation(), built for the call: neither dense kernel
+  /// branches on values, so the time does not depend on which matrix is
+  /// used. Feed the result to conversion_order() / network_latency_ms().
   [[nodiscard]] std::vector<LayerTiming> measure() const;
 
   /// The network-wide execution policy (the artifact's pool binding and
@@ -270,7 +265,7 @@ class CompiledNetwork {
 
  private:
   friend CompiledNetwork detail::assemble_network(
-      std::string name, std::vector<detail::PreboundLayer> layers,
+      std::string name, std::vector<dnn::LayerBinding> layers,
       const CompileOptions& opt);
   CompiledNetwork() = default;
 
@@ -291,7 +286,8 @@ CompiledNetwork compile(const dnn::NetworkWorkload& net,
                         const CompileOptions& opt = {});
 
 /// Compile explicit layer bindings (e.g. dnn::bind_layers of a model the
-/// TASDER facade optimized — see tasder::compile).
+/// TASDER facade optimized — see tasder::compile). Same as
+/// detail::assemble_network.
 CompiledNetwork compile(std::string name,
                         std::vector<dnn::LayerBinding> layers,
                         const CompileOptions& opt = {});

@@ -11,9 +11,8 @@ namespace tasd::sparse {
 
 namespace {
 
-/// Columns are stored as u32 (and the artifact's in-block index as u8).
-void check_shape(NMPattern pattern, Index cols) {
-  TASD_CHECK_MSG(pattern.m <= 256, "in-block index stored as u8; M <= 256");
+/// Columns are stored as u32.
+void check_shape(Index cols) {
   TASD_CHECK_MSG(
       cols <= Index{std::numeric_limits<std::uint32_t>::max()} + 1,
       "column index stored as u32; got " << cols << " columns");
@@ -26,7 +25,7 @@ NMSparseMatrix::NMSparseMatrix(const MatrixF& dense, NMPattern pattern)
   TASD_CHECK_MSG(satisfies(dense, pattern),
                  "matrix does not satisfy " << pattern.str()
                                             << "; project it to a view first");
-  check_shape(pattern, cols_);
+  check_shape(cols_);
   row_ptr_.reserve(rows_ + 1);
   for (Index r = 0; r < rows_; ++r) {
     auto row = dense.row(r);
@@ -44,7 +43,7 @@ NMSparseMatrix NMSparseMatrix::from_parts(NMPattern pattern, Index rows,
                                           Index cols, std::vector<float> values,
                                           std::vector<std::uint32_t> col_index,
                                           std::vector<Index> row_ptr) {
-  check_shape(pattern, cols);
+  check_shape(cols);
   TASD_CHECK_MSG(row_ptr.size() == rows + 1,
                  "row_ptr must hold rows+1 entries");
   TASD_CHECK(values.size() == col_index.size());

@@ -73,7 +73,15 @@ class ByteWriter {
     }
   }
 
-  /// Bulk u64 array under the same byte-order rule.
+  /// Bulk u32 and u64 arrays under the same byte-order rule.
+  void u32_array(std::span<const std::uint32_t> values) {
+    if constexpr (std::endian::native == std::endian::little) {
+      bytes(values.data(), values.size() * sizeof(std::uint32_t));
+    } else {
+      for (std::uint32_t v : values) u32(v);
+    }
+  }
+
   void u64_array(std::span<const std::uint64_t> values) {
     if constexpr (std::endian::native == std::endian::little) {
       bytes(values.data(), values.size() * sizeof(std::uint64_t));
@@ -134,6 +142,14 @@ class ByteReader {
       bytes(out.data(), out.size() * sizeof(float));
     } else {
       for (float& v : out) v = f32();
+    }
+  }
+
+  void u32_array(std::span<std::uint32_t> out) {
+    if constexpr (std::endian::native == std::endian::little) {
+      bytes(out.data(), out.size() * sizeof(std::uint32_t));
+    } else {
+      for (std::uint32_t& v : out) v = u32();
     }
   }
 

@@ -1,7 +1,7 @@
-// Round-trip and corruption-matrix tests for the TASDART1 artifact
-// store (ISSUE 9 acceptance): a load either reproduces the compiled
-// network bit-for-bit with zero decompositions, or fails with the
-// documented error code — never a silently-wrong network.
+// Round-trip and corruption-matrix tests for the TASDART artifact store:
+// a load either reproduces the compiled network bit-for-bit with zero
+// decompositions, or fails with the documented error code — never a
+// silently-wrong network.
 #include "artifact/artifact.hpp"
 
 #include <gtest/gtest.h>
@@ -118,6 +118,14 @@ std::uint64_t peek_u64(const std::vector<unsigned char>& bytes,
   return io::from_little_endian(v);
 }
 
+/// True when both ranges hold the same bytes (so -0.0 != +0.0, and a
+/// NaN equals itself).
+template <typename T>
+bool same_bits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
 /// Save tiny_net once and return the file bytes for patching.
 std::vector<unsigned char> saved_bytes(const TempPath& tmp) {
   const auto engine = compile(tiny_net(), mixed_configs(), {});
@@ -151,14 +159,41 @@ TEST(Artifact, RoundTripIsBitExactAtEveryThreadCount) {
     EXPECT_EQ(loaded.name(), engine.name());
     EXPECT_EQ(loaded.configured_count(), engine.configured_count());
     EXPECT_EQ(loaded.plan_bytes(), engine.plan_bytes());
-    EXPECT_EQ(loaded.artifact_bytes(), engine.artifact_bytes());
     for (std::size_t i = 0; i < net.layers.size(); ++i) {
       const auto& a = engine.layer(i);
       const auto& b = loaded.layer(i);
       EXPECT_EQ(b.name, a.name);
-      EXPECT_EQ(b.weight, a.weight) << "layer " << i;
+      EXPECT_EQ(b.m, a.m);
+      EXPECT_EQ(b.k, a.k);
       EXPECT_EQ(b.config.has_value(), a.config.has_value());
       EXPECT_DOUBLE_EQ(b.kept_nnz_fraction, a.kept_nnz_fraction);
+      if (a.plan) {
+        // A configured layer is its plan: no weight on either side, and
+        // every term's stream and the approximation match bitwise.
+        ASSERT_TRUE(b.plan) << "layer " << i;
+        EXPECT_TRUE(a.weight.empty()) << "layer " << i;
+        EXPECT_TRUE(b.weight.empty()) << "layer " << i;
+        EXPECT_EQ(b.fingerprint, a.fingerprint) << "layer " << i;
+        ASSERT_EQ(b.plan->terms.size(), a.plan->terms.size());
+        for (std::size_t t = 0; t < a.plan->terms.size(); ++t) {
+          const auto& ta = a.plan->terms[t];
+          const auto& tb = b.plan->terms[t];
+          EXPECT_EQ(tb.pattern(), ta.pattern());
+          EXPECT_TRUE(same_bits<float>(tb.values(), ta.values()))
+              << "layer " << i << " term " << t;
+          EXPECT_TRUE(same_bits<std::uint32_t>(tb.col_index(), ta.col_index()))
+              << "layer " << i << " term " << t;
+          EXPECT_TRUE(same_bits<Index>(tb.row_ptr(), ta.row_ptr()))
+              << "layer " << i << " term " << t;
+        }
+        EXPECT_TRUE(same_bits<float>(b.plan->approximation().flat(),
+                                     a.plan->approximation().flat()))
+            << "layer " << i;
+      } else {
+        EXPECT_FALSE(b.plan) << "layer " << i;
+        EXPECT_TRUE(same_bits<float>(b.weight.flat(), a.weight.flat()))
+            << "layer " << i;
+      }
       EXPECT_EQ(loaded.run(i, inputs[i]), engine.run(i, inputs[i]))
           << "layer " << i << " threads=" << threads;
     }
@@ -260,12 +295,21 @@ TEST(Artifact, BadMagicIsFailedPrecondition) {
 }
 
 TEST(Artifact, UnsupportedVersionIsFailedPrecondition) {
+  // Version 1 and any future version fail typed, at load and inspect.
   TempPath tmp("tasd_version.tasdart");
-  auto bytes = saved_bytes(tmp);
-  patch_u32(bytes, artifact::kHeaderVersionOffset, artifact::kVersion + 1);
-  io::write_file(tmp.path, bytes);
-  EXPECT_EQ(failure_code([&] { (void)load_artifact(tmp.path, {}); }),
-            Error::Code::kFailedPrecondition);
+  const auto clean = saved_bytes(tmp);
+  ASSERT_EQ(artifact::kVersion, 2u);
+  for (const std::uint32_t version : {1u, artifact::kVersion + 1}) {
+    auto bytes = clean;
+    patch_u32(bytes, artifact::kHeaderVersionOffset, version);
+    io::write_file(tmp.path, bytes);
+    EXPECT_EQ(failure_code([&] { (void)load_artifact(tmp.path, {}); }),
+              Error::Code::kFailedPrecondition)
+        << "version " << version;
+    EXPECT_EQ(failure_code([&] { (void)inspect_artifact(tmp.path); }),
+              Error::Code::kFailedPrecondition)
+        << "version " << version;
+  }
 }
 
 TEST(Artifact, FlippedPayloadBitIsInternal) {
@@ -356,16 +400,18 @@ TEST(Artifact, ReservedHeaderBytesAreIgnored) {
 }
 
 TEST(Artifact, FingerprintMismatchIsInternal) {
-  // Re-point layer 0's TOC entry at a fingerprint that does not hash its
-  // weight, fixing up the TOC CRC so only the fingerprint gate can fire:
-  // the load must refuse to pair a weight with someone else's plan.
+  // Re-point the dense layer's (layer 2's) TOC entry at a fingerprint
+  // that does not hash its weight, fixing up the TOC CRC so only the
+  // fingerprint gate can fire: the load must refuse a weight that is not
+  // the one the entry names. (A configured layer stores no weight; its
+  // entry is its plan's cache key.)
   TempPath tmp("tasd_fp.tasdart");
   auto bytes = saved_bytes(tmp);
   const std::uint64_t toc_offset =
       peek_u64(bytes, artifact::kHeaderTocOffsetOffset);
-  const std::uint64_t fp_lo =
-      peek_u64(bytes, toc_offset + artifact::kTocFpLoOffset);
-  patch_u64(bytes, toc_offset + artifact::kTocFpLoOffset, fp_lo ^ 1);
+  const std::uint64_t entry = toc_offset + 2 * artifact::kTocEntryBytes;
+  const std::uint64_t fp_lo = peek_u64(bytes, entry + artifact::kTocFpLoOffset);
+  patch_u64(bytes, entry + artifact::kTocFpLoOffset, fp_lo ^ 1);
   const std::size_t toc_bytes = 3 * artifact::kTocEntryBytes;
   patch_u32(bytes, artifact::kHeaderTocCrcOffset,
             artifact::crc32(bytes.data() + toc_offset, toc_bytes));
@@ -374,13 +420,14 @@ TEST(Artifact, FingerprintMismatchIsInternal) {
             Error::Code::kInternal);
 }
 
-/// File offsets of layer 0's first term payloads (see write_section in
-/// artifact.cpp): its in-block index bytes and its block-offset array.
+/// File offsets of layer 0's first term (see write_section in
+/// artifact.cpp): its value count, and its column and row-pointer arrays.
 struct TermPayload {
-  std::size_t in_block_index = 0;
+  std::uint64_t rows = 0, cols = 0;
+  std::size_t value_count_at = 0;
   std::uint64_t value_count = 0;
-  std::size_t block_offsets = 0;
-  std::uint64_t offset_count = 0;
+  std::size_t col_index = 0;
+  std::size_t row_ptr = 0;
 };
 
 TermPayload first_term_payload(const std::vector<unsigned char>& bytes) {
@@ -393,19 +440,24 @@ TermPayload first_term_payload(const std::vector<unsigned char>& bytes) {
     return section + (pos - section + 7) / 8 * 8;
   };
   std::size_t pos = align8(section + 4 + io::from_little_endian(name_len));
-  const std::uint64_t m = peek_u64(bytes, pos);
-  const std::uint64_t k = peek_u64(bytes, pos + 8);
-  pos = align8(pos + 32 + m * k * sizeof(float));  // shape, flag, weight
-  const std::uint64_t terms = peek_u64(bytes, pos);
-  pos += 8 + terms * 8 + 64;  // patterns, ApproxStats
-  pos += 24;                  // first term: n, m, rows, cols
   TermPayload p;
+  p.rows = peek_u64(bytes, pos);
+  p.cols = peek_u64(bytes, pos + 8);
+  pos += 24;  // m, k, n
+  const std::uint64_t terms = peek_u64(bytes, pos);
+  pos += 8 + terms * 8 + 64;  // term count, patterns, ApproxStats
+  p.value_count_at = pos;
   p.value_count = peek_u64(bytes, pos);
-  p.in_block_index = pos + 8 + p.value_count * sizeof(float);
-  pos = align8(p.in_block_index + p.value_count);
-  p.offset_count = peek_u64(bytes, pos);
-  p.block_offsets = pos + 8;
+  p.col_index = pos + 8 + p.value_count * sizeof(float);
+  p.row_ptr = align8(p.col_index + p.value_count * sizeof(std::uint32_t));
   return p;
+}
+
+std::uint32_t peek_u32(const std::vector<unsigned char>& bytes,
+                       std::size_t offset) {
+  std::uint32_t v;
+  std::memcpy(&v, bytes.data() + offset, sizeof v);
+  return io::from_little_endian(v);
 }
 
 /// Recompute layer 0's section CRC, its TOC entry and the TOC CRC, so
@@ -423,47 +475,55 @@ void reseal_layer0(std::vector<unsigned char>& bytes) {
 }
 
 TEST(Artifact, StructurallyInvalidTermPastTheCrcIsInternal) {
-  // Layer 0 is 2:4. Each edit keeps every CRC valid and breaks one
-  // invariant of the block encoding or of the stream it decodes to; the
-  // load must fail typed before any kernel could index past B.
+  // Layer 0 is 2:4 over a 48x256 weight. Each edit keeps every CRC valid
+  // and breaks one invariant of the stored stream — from_parts (or, for
+  // the value count, the reader's bounds check) must fail the load typed
+  // before any kernel could index past B.
   TempPath tmp("tasd_structure.tasdart");
   const auto clean = saved_bytes(tmp);
   const TermPayload p = first_term_payload(clean);
-  ASSERT_GT(p.value_count, 2u);
-  ASSERT_EQ(p.offset_count, 48u * (256u / 4u) + 1u);
-  const std::size_t last_offset = p.block_offsets + (p.offset_count - 1) * 8;
-  ASSERT_EQ(peek_u64(clean, p.block_offsets), 0u);
-  ASSERT_EQ(peek_u64(clean, last_offset), p.value_count);
-  // Row 0 spans blocks 0..63; its end offset is entry 64.
-  const std::uint64_t row0_end = peek_u64(clean, p.block_offsets + 64 * 8);
-  ASSERT_GT(row0_end, 2u);
-  ASSERT_LT(row0_end, p.value_count);
+  ASSERT_EQ(p.rows, 48u);
+  ASSERT_EQ(p.cols, 256u);
+  ASSERT_EQ(peek_u64(clean, p.row_ptr), 0u);
+  ASSERT_EQ(peek_u64(clean, p.row_ptr + p.rows * 8), p.value_count);
+  const std::uint64_t row0_end = peek_u64(clean, p.row_ptr + 8);
+  const std::uint64_t row1_end = peek_u64(clean, p.row_ptr + 16);
+  ASSERT_GE(row0_end, 3u);
+  ASSERT_LT(row0_end, row1_end);
+  ASSERT_LT(row1_end, p.value_count);
+  const auto col = [&](std::uint64_t s) { return p.col_index + s * 4; };
 
   const char* const kEdits[] = {
-      "in-block index >= M",
-      "block offset past the values",
-      "block offsets decrease",
-      "first block offset nonzero",
-      "row 0 piled into its first block",
+      "column >= cols",
+      "two columns out of order in one row",
+      "N + 1 values in one M-block",
+      "decreasing row_ptr",
+      "row_ptr end != value count",
+      "value count > m * k",
   };
   for (std::size_t e = 0; e < std::size(kEdits); ++e) {
     auto bytes = clean;
     switch (e) {
-      case 0:
-        bytes[p.in_block_index] = 200;
+      case 0:  // row 0's last column, still ascending, moved past the end
+        patch_u32(bytes, col(row0_end - 1), 256);
         break;
-      case 1:
-        patch_u64(bytes, p.block_offsets + 8, p.value_count + 1);
+      case 1: {
+        const std::uint32_t c0 = peek_u32(clean, col(0));
+        patch_u32(bytes, col(0), peek_u32(clean, col(1)));
+        patch_u32(bytes, col(1), c0);
         break;
-      case 2:
-        patch_u64(bytes, p.block_offsets + 8, row0_end + 1);
+      }
+      case 2:  // columns 0, 1, 2: three values in block 0 of a 2:4 row
+        for (std::uint32_t s = 0; s < 3; ++s) patch_u32(bytes, col(s), s);
         break;
       case 3:
-        patch_u64(bytes, p.block_offsets, 1);
+        patch_u64(bytes, p.row_ptr + 8, row1_end + 1);
+        break;
+      case 4:
+        patch_u64(bytes, p.row_ptr + p.rows * 8, p.value_count - 1);
         break;
       default:
-        for (std::size_t blk = 1; blk < 64; ++blk)
-          patch_u64(bytes, p.block_offsets + blk * 8, row0_end);
+        patch_u64(bytes, p.value_count_at, p.rows * p.cols + 1);
     }
     reseal_layer0(bytes);
     io::write_file(tmp.path, bytes);
@@ -528,16 +588,52 @@ TEST(Artifact, EveryByteFlipFailsTypedOrLoadsIdentically) {
   EXPECT_EQ(typed + benign, pristine.size());
 }
 
-TEST(Artifact, ArtifactBytesCoversWeightsAndPlans) {
+TEST(Artifact, ConfiguredSectionHoldsNoWeight) {
+  // A configured section stores its plan's streams — 4 + 4 bytes per
+  // value, 8 per row pointer — and a fixed amount of metadata (name,
+  // shape, config, stats, value counts, padding). A stored weight alone
+  // would be 4 bytes per element of the whole matrix.
+  TempPath tmp("tasd_noweight.tasdart");
   const auto engine = compile(tiny_net(), mixed_configs(), {});
-  Index weight_bytes = 0;
-  for (std::size_t i = 0; i < engine.layer_count(); ++i)
-    weight_bytes += engine.layer(i).weight.size() * sizeof(float);
-  EXPECT_GT(engine.artifact_bytes(), engine.plan_bytes());
-  EXPECT_GT(engine.artifact_bytes(), weight_bytes);
-  EXPECT_LE(engine.artifact_bytes(),
-            weight_bytes + engine.plan_bytes() + 4096)
-      << "metadata overhead should stay small for a tiny net";
+  save_artifact(engine, tmp.path);
+  const auto info = inspect_artifact(tmp.path);
+  ASSERT_EQ(info.layers.size(), engine.layer_count());
+  constexpr std::uint64_t kMetadataBound = 256;
+  for (std::size_t i = 0; i < engine.layer_count(); ++i) {
+    const auto& l = engine.layer(i);
+    if (!l.plan) continue;
+    std::uint64_t stream_bytes = 0;
+    for (const auto& term : l.plan->terms)
+      stream_bytes += 8 * term.nnz() + 8 * (term.rows() + 1);
+    EXPECT_TRUE(info.layers[i].configured) << "layer " << i;
+    EXPECT_LE(info.layers[i].section_size, stream_bytes + kMetadataBound)
+        << "layer " << i;
+    EXPECT_LT(stream_bytes + kMetadataBound, l.m * l.k * sizeof(float))
+        << "layer " << i << " is too dense to tell a weight from a plan";
+  }
+}
+
+TEST(Artifact, MeasureRunsOnALoadedArtifact) {
+  // A loaded configured layer has no weight; measure() times its dense
+  // reference on the plan's approximation.
+  TempPath tmp("tasd_measure.tasdart");
+  save_artifact(compile(tiny_net(), mixed_configs(), {}), tmp.path);
+  CompileOptions opt;
+  opt.measure.repeats = 1;
+  const auto loaded = load_artifact(tmp.path, opt);
+  const auto timings = loaded.measure();
+  ASSERT_EQ(timings.size(), loaded.layer_count());
+  for (std::size_t i = 0; i < timings.size(); ++i) {
+    const auto& t = timings[i];
+    EXPECT_EQ(t.m, loaded.layer(i).m);
+    EXPECT_EQ(t.k, loaded.layer(i).k);
+    EXPECT_GT(t.dense_ms, 0.0) << "layer " << i;
+    if (loaded.layer(i).plan) {
+      EXPECT_GT(t.tasd_ms, 0.0) << "layer " << i;
+      EXPECT_GT(t.kept_nnz_fraction, 0.0) << "layer " << i;
+      EXPECT_LE(t.kept_nnz_fraction, 1.0) << "layer " << i;
+    }
+  }
 }
 
 }  // namespace

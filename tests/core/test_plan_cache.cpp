@@ -157,7 +157,7 @@ TEST(PlanCacheBehavior, InsertPreloadedAdoptsWithoutDecomposing) {
   const MatrixF m = test_matrix(8, 16, 0.5, 5001);
   auto plan = std::make_shared<const DecompositionPlan>(build_plan(m, cfg));
 
-  const auto resident = cache.insert_preloaded(m, plan);
+  const auto resident = cache.insert_preloaded(content_fingerprint(m), plan);
   const auto stats = cache.stats();
   EXPECT_EQ(resident.get(), plan.get());
   EXPECT_EQ(cache.size(), 1u);
@@ -181,21 +181,52 @@ TEST(PlanCacheBehavior, InsertPreloadedExistingEntryWins) {
   const auto cached = cache.get_or_build(m, cfg);
   auto duplicate =
       std::make_shared<const DecompositionPlan>(build_plan(m, cfg));
-  const auto resident = cache.insert_preloaded(m, duplicate);
+  const auto resident =
+      cache.insert_preloaded(content_fingerprint(m), duplicate);
   EXPECT_EQ(resident.get(), cached.get())
       << "a plan already resident keeps winning, preserving sharing";
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.stats().preloads, 1u);
 }
 
-TEST(PlanCacheBehavior, InsertPreloadedRejectsMismatchedPlan) {
+TEST(PlanCacheBehavior, InsertPreloadedRejectsNullPlan) {
+  PlanCache cache(8);
+  const MatrixF m = test_matrix(8, 16, 0.5, 5003);
+  EXPECT_THROW((void)cache.insert_preloaded(content_fingerprint(m), nullptr),
+               Error);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(PlanCacheBehavior, InsertPreloadedKeysOnFingerprintShapeAndConfig) {
+  // The key is (fingerprint, the plan's shape, the plan's config): a
+  // same-shape weight with other bytes, or the same weight under another
+  // config, still misses.
   PlanCache cache(8);
   const auto cfg = TasdConfig::parse("2:4");
-  const MatrixF m = test_matrix(8, 16, 0.5, 5003);
-  const MatrixF other = test_matrix(8, 24, 0.5, 5004);  // different shape
-  auto plan = std::make_shared<const DecompositionPlan>(build_plan(m, cfg));
-  EXPECT_THROW((void)cache.insert_preloaded(other, plan), Error);
-  EXPECT_THROW((void)cache.insert_preloaded(m, nullptr), Error);
+  const MatrixF m = test_matrix(8, 16, 0.5, 5004);
+  const MatrixF other = test_matrix(8, 16, 0.5, 5005);
+  (void)cache.insert_preloaded(
+      content_fingerprint(m),
+      std::make_shared<const DecompositionPlan>(build_plan(m, cfg)));
+  (void)cache.get_or_build(other, cfg);
+  (void)cache.get_or_build(m, TasdConfig::parse("1:4"));
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  (void)cache.get_or_build(m, cfg);
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(PlanCacheBehavior, GetOrBuildWithFingerprintSharesTheKey) {
+  // A caller that hashed the matrix itself hits the entry the plain form
+  // built, and vice versa.
+  PlanCache cache(8);
+  const auto cfg = TasdConfig::parse("2:4");
+  const MatrixF m = test_matrix(8, 16, 0.5, 5006);
+  const auto p1 = cache.get_or_build(content_fingerprint(m), m, cfg);
+  const auto p2 = cache.get_or_build(m, cfg);
+  EXPECT_EQ(p1.get(), p2.get());
+  EXPECT_EQ(cache.stats().decompositions, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
 }
 
 TEST(PlanCacheIntegration, ApproxStatsAndApproximateAreCached) {

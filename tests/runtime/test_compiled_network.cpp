@@ -214,6 +214,32 @@ TEST(CompiledNetwork, PlanCacheOptOutBuildsPrivatePlans) {
   EXPECT_EQ(engine.run(0, b).rows(), net.layers[0].m);
 }
 
+TEST(CompiledNetwork, ConfiguredLayerKeepsItsPlanKeyNotItsWeight) {
+  // With or without the shared cache, a configured layer holds its plan
+  // and the weight's fingerprint (the plan's cache key), and no weight;
+  // a dense layer keeps its weight.
+  const auto net = tiny_net();
+  const MatrixF w0 = dnn::materialize_weight(net.layers[0]);
+  const MatrixF w1 = dnn::materialize_weight(net.layers[1]);
+  for (const bool use_cache : {true, false}) {
+    CompileOptions opt;
+    opt.measure.use_plan_cache = use_cache;
+    const auto engine = compile(net, mixed_configs(), opt);
+    const auto& configured = engine.layer(0);
+    ASSERT_TRUE(configured.plan);
+    EXPECT_TRUE(configured.weight.empty());
+    EXPECT_EQ(configured.fingerprint, content_fingerprint(w0));
+    EXPECT_EQ(configured.m, w0.rows());
+    EXPECT_EQ(configured.k, w0.cols());
+    EXPECT_DOUBLE_EQ(configured.kept_nnz_fraction,
+                     static_cast<double>(configured.plan->nnz()) /
+                         static_cast<double>(w0.size()));
+    const auto& dense = engine.layer(1);
+    EXPECT_FALSE(dense.plan);
+    EXPECT_EQ(dense.weight, w1);
+  }
+}
+
 TEST(CompiledNetwork, MeasureReportsEveryLayer) {
   const auto net = tiny_net();
   CompileOptions opt;
