@@ -280,6 +280,40 @@ int main(int argc, char** argv) {
             &scalar_ms, entries);
   }
 
+  // GEMV at serving width: one right-hand-side column on ResNet-34's s3
+  // conv2 shape (512x4608, 95 % sparse), a 2:8 term alone and the 2:8+1:8
+  // series. Each call is a fraction of a millisecond, so take the
+  // minimum over 10x the repeats.
+  {
+    const Index m = 512, k = 4608;
+    const int gemv_repeats = 10 * repeats;
+    const MatrixF dense =
+        random_unstructured(m, k, 0.05, Dist::kNormalStd1, rng);
+    const MatrixF x = random_dense(k, 1, Dist::kNormalStd1, rng);
+    const auto plan =
+        plan_cache().get_or_build(dense, TasdConfig::parse("2:8+1:8"));
+    const sparse::NMSparseMatrix& a = plan->terms[0];
+    const rt::TasdSeriesGemm series(plan);
+    std::map<std::size_t, double> nm_scalar_ms, series_scalar_ms;
+    for (const auto& impl : nm_impls) {
+      sweep("nm_gemm", std::string(impl.name), m, k, 1, "2:8", 0.95,
+            2.0 * static_cast<double>(a.nnz()), gemv_repeats, thread_counts,
+            [&](rt::ExecPolicy& p) {
+              p.nm_kernel = impl.fn;
+              return rt::nm_gemm(a, x, p);
+            },
+            &nm_scalar_ms, entries);
+      sweep("tasd_gemm", std::string(impl.name), m, k, 1, "2:8+1:8", 0.95,
+            2.0 * static_cast<double>(series.nnz()), gemv_repeats,
+            thread_counts,
+            [&](rt::ExecPolicy& p) {
+              p.nm_kernel = impl.fn;
+              return series.multiply(x, p);
+            },
+            &series_scalar_ms, entries);
+    }
+  }
+
   // Decomposition throughput: cold build_plan vs plan-cache hit.
   {
     const Index sz = quick ? 256 : 1024;

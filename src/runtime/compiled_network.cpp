@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "runtime/dense_gemm.hpp"
@@ -237,8 +238,17 @@ CompiledNetwork assemble_network(std::string name,
   if (opt.measure.num_threads != 0)
     cn.pool_ = std::make_unique<ThreadPool>(opt.measure.num_threads);
   cn.policy_ = {cn.pool_.get(), dense.fn, nm.fn};
+  // Every configured weight without a prebuilt plan is hashed once, and
+  // the hash is its plan's key. Hashing is most of a compile whose plans
+  // are cached, so it runs one task per layer; task i writes slot i only.
+  std::vector<ContentFingerprint> fingerprints(layers.size());
+  for_each_index(default_pool(), layers.size(), [&](std::size_t i) {
+    if (layers[i].config && !layers[i].plan)
+      fingerprints[i] = content_fingerprint(layers[i].weight);
+  });
   cn.layers_.reserve(layers.size());
-  for (auto& binding : layers) {
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    auto& binding = layers[i];
     CompiledNetwork::BoundLayer l;
     l.name = std::move(binding.name);
     l.n = binding.positions;
@@ -254,9 +264,8 @@ CompiledNetwork assemble_network(std::string name,
     } else if (l.config) {
       // The one decomposition of this layer's lifetime: through the
       // shared cache (so sibling artifacts and future compiles reuse
-      // it), or a private plan when the cache is opted out. Either way
-      // the weight is hashed once, and the hash is the plan's key.
-      l.fingerprint = content_fingerprint(binding.weight);
+      // it), or a private plan when the cache is opted out.
+      l.fingerprint = fingerprints[i];
       l.plan = opt.measure.use_plan_cache
                    ? plan_cache().get_or_build(l.fingerprint, binding.weight,
                                                *l.config)

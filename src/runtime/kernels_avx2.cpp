@@ -4,10 +4,10 @@
 // The bit-exactness discipline (docs/kernels.md): one accumulator chain
 // per output element, advanced by exactly one fused multiply-add per
 // k-step (dense) or stored value (N:M), k/value order ascending. The
-// full-vector blocks and the masked-vector column tail perform the
-// *same* rounded operations per element, so which path computes an
-// element — decided by tile boundaries, batch packing, or thread
-// partitioning — never changes its bits.
+// full-vector blocks, the masked-vector column tail and the single-column
+// row blocks perform the *same* rounded operations per element, so which
+// path computes an element — decided by tile boundaries, batch packing,
+// or thread partitioning — never changes its bits.
 //
 // The loop structure fights memory traffic, the regime that caps GEMM
 // past L2-sized operands: a 512-column macro tile is processed for a
@@ -20,6 +20,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 namespace tasd::rt {
@@ -123,6 +124,44 @@ void nm_row_block_avx2(const float* values, const std::uint32_t* col,
     _mm256_storeu_ps(crow + j + 8 * v, acc[v]);
 }
 
+/// Single-column tile: column j of rows [r0, r1). One row's chain is a
+/// serial run of dependent FMAs, so rows go in blocks of kGemvRows whose
+/// independent chains advance together over the block's common stored
+/// prefix; each row then finishes its own values. Rows are interleaved,
+/// never the values of one row: every element still takes one
+/// single-rounded FMA per stored value, in stored order, from its C value.
+constexpr Index kGemvRows = 8;
+
+void nm_gemv_rows(const float* values, const std::uint32_t* col,
+                  const Index* row_ptr, const float* x, Index n,
+                  float* c, Index r0, Index r1, Index j) {
+  const auto tail = [&](Index r, Index s, float acc) {
+    for (const Index s1 = row_ptr[r + 1]; s < s1; ++s)
+      acc = std::fma(values[s], x[Index{col[s]} * n + j], acc);
+    c[r * n + j] = acc;
+  };
+  Index r = r0;
+  for (; r + kGemvRows <= r1; r += kGemvRows) {
+    Index common = row_ptr[r + 1] - row_ptr[r];
+    for (Index i = 1; i < kGemvRows; ++i)
+      common = std::min(common, row_ptr[r + i + 1] - row_ptr[r + i]);
+    const float* v[kGemvRows];
+    const std::uint32_t* ci[kGemvRows];
+    float acc[kGemvRows];
+    for (Index i = 0; i < kGemvRows; ++i) {
+      v[i] = values + row_ptr[r + i];
+      ci[i] = col + row_ptr[r + i];
+      acc[i] = c[(r + i) * n + j];
+    }
+    for (Index t = 0; t < common; ++t)
+      for (Index i = 0; i < kGemvRows; ++i)
+        acc[i] = std::fma(v[i][t], x[Index{ci[i][t]} * n + j], acc[i]);
+    for (Index i = 0; i < kGemvRows; ++i)
+      tail(r + i, row_ptr[r + i] + common, acc[i]);
+  }
+  for (; r < r1; ++r) tail(r, row_ptr[r], c[r * n + j]);
+}
+
 }  // namespace
 
 void dense_gemm_tile_avx2(const MatrixF& a, const MatrixF& b, MatrixF& c,
@@ -153,6 +192,11 @@ void nm_gemm_tile_avx2(const sparse::NMSparseMatrix& a, const MatrixF& b,
   const auto& row_ptr = a.row_ptr();
   const float* bd = b.data();
 
+  if (col_end - col_begin == 1) {  // the GEMV serving case
+    nm_gemv_rows(values, col, row_ptr.data(), bd, n, c.data(), row_begin,
+                 row_end, col_begin);
+    return;
+  }
   for (Index jt = col_begin; jt < col_end; jt += kMacroTileN) {
     const Index je = std::min(col_end, jt + kMacroTileN);
     for (Index r = row_begin; r < row_end; ++r) {
@@ -176,8 +220,7 @@ void nm_gemm_tile_avx2(const sparse::NMSparseMatrix& a, const MatrixF& b,
       }
       if (j < je) {
         // Masked-vector tail: one pass, register accumulator,
-        // stored-value-ascending fused chain per element — the batch-1
-        // GEMV serving case runs entirely through here.
+        // stored-value-ascending fused chain per element.
         const __m256i mask = tail_mask(je - j);
         __m256 acc = _mm256_maskload_ps(crow + j, mask);
         for (Index s = s0; s < s1; ++s) {

@@ -613,6 +613,42 @@ TEST(Artifact, ConfiguredSectionHoldsNoWeight) {
   }
 }
 
+/// Byte-at-a-time CRC-32 over the reflected polynomial, bit by bit.
+std::uint32_t crc32_bitwise(const unsigned char* data, std::size_t size,
+                            std::uint32_t seed) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit)
+      c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+TEST(ArtifactCrc, MatchesCheckValueAndByteSerialReference) {
+  const unsigned char check[] = "123456789";
+  EXPECT_EQ(artifact::crc32(check, 9), 0xCBF43926U);
+  EXPECT_EQ(artifact::crc32(check, 0), 0U);
+
+  std::vector<unsigned char> bytes(308);
+  Rng rng(9117);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.uniform_int(0, 255));
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const unsigned char* p = bytes.data() + offset;
+      ASSERT_EQ(artifact::crc32(p, len), crc32_bitwise(p, len, 0))
+          << "offset " << offset << " length " << len;
+      // A chained seed: two calls over a split range equal one call.
+      const std::size_t cut = len / 3;
+      ASSERT_EQ(artifact::crc32(p + cut, len - cut, artifact::crc32(p, cut)),
+                crc32_bitwise(p, len, 0))
+          << "offset " << offset << " length " << len << " cut " << cut;
+      ASSERT_EQ(artifact::crc32(p, len, 0x12345678U),
+                crc32_bitwise(p, len, 0x12345678U))
+          << "offset " << offset << " length " << len;
+    }
+}
+
 TEST(Artifact, MeasureRunsOnALoadedArtifact) {
   // A loaded configured layer has no weight; measure() times its dense
   // reference on the plan's approximation.
