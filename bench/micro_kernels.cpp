@@ -266,16 +266,15 @@ int main(int argc, char** argv) {
         random_unstructured(n, n, 0.1, Dist::kNormalStd1, rng);
     const auto plan =
         plan_cache().get_or_build(dense, TasdConfig::parse("4:8+1:8"));
-    const rt::TasdSeriesGemm series(plan);
     const MatrixF b = random_dense(n, n, Dist::kNormalStd1, rng);
     std::map<std::size_t, double> scalar_ms;
     for (const auto& impl : nm_impls)
       sweep("tasd_gemm", std::string(impl.name), n, n, n, "4:8+1:8", 0.9,
-            2.0 * static_cast<double>(series.nnz()) * n, repeats,
+            2.0 * static_cast<double>(plan->nnz()) * n, repeats,
             thread_counts,
             [&](rt::ExecPolicy& p) {
               p.nm_kernel = impl.fn;
-              return series.multiply(b, p);
+              return rt::series_gemm(*plan, b, p);
             },
             &scalar_ms, entries);
   }
@@ -293,7 +292,6 @@ int main(int argc, char** argv) {
     const auto plan =
         plan_cache().get_or_build(dense, TasdConfig::parse("2:8+1:8"));
     const sparse::NMSparseMatrix& a = plan->terms[0];
-    const rt::TasdSeriesGemm series(plan);
     std::map<std::size_t, double> nm_scalar_ms, series_scalar_ms;
     for (const auto& impl : nm_impls) {
       sweep("nm_gemm", std::string(impl.name), m, k, 1, "2:8", 0.95,
@@ -304,11 +302,11 @@ int main(int argc, char** argv) {
             },
             &nm_scalar_ms, entries);
       sweep("tasd_gemm", std::string(impl.name), m, k, 1, "2:8+1:8", 0.95,
-            2.0 * static_cast<double>(series.nnz()), gemv_repeats,
+            2.0 * static_cast<double>(plan->nnz()), gemv_repeats,
             thread_counts,
             [&](rt::ExecPolicy& p) {
               p.nm_kernel = impl.fn;
-              return series.multiply(x, p);
+              return rt::series_gemm(*plan, x, p);
             },
             &series_scalar_ms, entries);
     }

@@ -65,13 +65,14 @@ int main() {
   std::cout << "\none-term GEMM relative error: "
             << relative_frobenius_error(exact, approx) << '\n';
 
-  // 4. The compressed structured kernel a sparse tensor core would run.
-  const rt::TasdSeriesGemm series(d);
-  const MatrixF hw_result = series.multiply(b);
+  // 4. The compressed structured kernel a sparse tensor core would run,
+  // over the series' plan: every term compressed once.
+  const DecompositionPlan plan = build_plan(a, cfg);
+  const MatrixF hw_result = rt::series_gemm(plan, b);
   std::cout << "two-term compressed-kernel error vs exact: "
             << relative_frobenius_error(exact, hw_result)
             << " (lossless series)\n"
-            << "stored non-zeros across terms: " << series.nnz() << " of "
+            << "stored non-zeros across terms: " << plan.nnz() << " of "
             << a.size() << " slots\n";
 
   // 5. Compile once, execute many (§5.5 deployment): bind A's series into
@@ -86,16 +87,16 @@ int main() {
       rt::compile("quickstart", std::move(bindings), {});
   const MatrixF served = engine.run(0, b);
   const auto batch_out = engine.run_batch(0, std::vector<MatrixF>{b, b});
-  // run() must be bit-exact to the direct series multiply under the
+  // run() must be bit-exact to the direct series GEMM under the
   // artifact's resolved kernel selection ("auto" binds the AVX2 kernels
   // when the CPU supports them, the scalar tiled kernels otherwise).
-  const bool run_exact = served == series.multiply(b, engine.policy());
+  const bool run_exact = served == rt::series_gemm(plan, b, engine.policy());
   const bool batch_exact = batch_out[0] == served && batch_out[1] == served;
   std::cout << "\ncompiled artifact: " << engine.layer_count() << " layer, "
             << engine.plan_bytes() << " plan bytes resident; kernels: "
             << engine.options().dense_kernel << " / "
             << engine.options().nm_kernel << "; run() == "
-            << "direct series multiply: "
+            << "direct series GEMM: "
             << (run_exact ? "bit-exact" : "MISMATCH")
             << ", run_batch() == run(): "
             << (batch_exact ? "bit-exact" : "MISMATCH") << '\n';

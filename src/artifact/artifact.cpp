@@ -359,8 +359,7 @@ CompiledNetwork load_artifact(const std::string& path,
       // The recorded fingerprint is the plan's PlanCache key: adopting
       // it under that key lets later compiles of the same weight hit.
       l.fingerprint = e.fingerprint;
-      if (opt.measure.use_plan_cache)
-        l.plan = plan_cache().insert_preloaded(e.fingerprint, l.plan);
+      l.plan = plan_cache().insert_preloaded(e.fingerprint, l.plan);
     } else if (content_fingerprint(l.weight) != e.fingerprint) {
       // A dense weight must hash back to its entry (a corruption both
       // CRCs missed, or a section paired with another layer's entry).
@@ -370,7 +369,7 @@ CompiledNetwork load_artifact(const std::string& path,
     }
     layers.push_back(std::move(l));
   }
-  return detail::assemble_network(toc.name, std::move(layers), opt);
+  return compile(toc.name, std::move(layers), opt);
 }
 
 ArtifactInfo inspect_artifact(const std::string& path) {

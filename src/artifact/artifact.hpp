@@ -51,9 +51,8 @@ void save_artifact(const CompiledNetwork& net, const std::string& path);
 /// Load an artifact into a fully bound CompiledNetwork, performing zero
 /// decompositions: plans are read back from the serialized term streams,
 /// verified (per-section CRC, NMSparseMatrix::from_parts; dense weights
-/// also against their content fingerprint), and — when
-/// opt.measure.use_plan_cache — adopted into the process-wide
-/// PlanCache. `opt` plays the same role as in
+/// also against their content fingerprint), and adopted into the
+/// process-wide PlanCache. `opt` plays the same role as in
 /// rt::compile(): pool binding, kernel selection ("auto" re-resolves on
 /// this host), measurement knobs. See the failure contract above.
 CompiledNetwork load_artifact(const std::string& path,

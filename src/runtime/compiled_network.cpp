@@ -1,6 +1,7 @@
 #include "runtime/compiled_network.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 
@@ -10,6 +11,7 @@
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "runtime/dense_gemm.hpp"
+#include "runtime/nm_gemm.hpp"
 #include "tensor/generator.hpp"
 
 namespace tasd::rt {
@@ -20,7 +22,12 @@ double network_latency_ms(const std::vector<LayerTiming>& timings,
   TASD_CHECK_MSG(num_converted <= order.size(),
                  "num_converted exceeds layer count");
   std::vector<bool> converted(timings.size(), false);
-  for (std::size_t i = 0; i < num_converted; ++i) converted[order[i]] = true;
+  for (std::size_t i = 0; i < num_converted; ++i) {
+    TASD_CHECK_MSG(order[i] < timings.size(),
+                   "order[" << i << "] = " << order[i] << " out of range ("
+                            << timings.size() << " layers)");
+    converted[order[i]] = true;
+  }
   double total = 0.0;
   for (std::size_t i = 0; i < timings.size(); ++i) {
     const auto& t = timings[i];
@@ -48,6 +55,9 @@ std::vector<std::size_t> conversion_order(
 
 namespace {
 
+/// Seed of the random right-hand sides measure() times.
+constexpr std::uint64_t kMeasureSeed = 99;
+
 /// The shrunk measurement width measure() uses for a layer with `n`
 /// full-scale positions under a given n_divisor: rounded division with
 /// a floor of min(n, n_divisor - 1) — monotone in n, never zero (see
@@ -70,7 +80,7 @@ const CompiledNetwork::BoundLayer& CompiledNetwork::layer(
 std::size_t CompiledNetwork::configured_count() const {
   std::size_t n = 0;
   for (const auto& l : layers_)
-    if (l.series) ++n;
+    if (l.plan) ++n;
   return n;
 }
 
@@ -111,8 +121,8 @@ MatrixF CompiledNetwork::run(std::size_t layer_index,
   const BoundLayer& l = layer(layer_index);
   validate_input(layer_index, input);
   fault::inject("rt.run", l.name);
-  return l.series ? l.series->multiply(input, policy_)
-                  : dense_gemm(l.weight, input, policy_);
+  return l.plan ? series_gemm(*l.plan, input, policy_)
+                : dense_gemm(l.weight, input, policy_);
 }
 
 std::vector<MatrixF> CompiledNetwork::run_batch(
@@ -121,8 +131,8 @@ std::vector<MatrixF> CompiledNetwork::run_batch(
   for (std::size_t i = 0; i < inputs.size(); ++i)
     validate_input(layer_index, inputs[i], i);
   fault::inject("rt.run_batch", l.name);
-  return l.series ? l.series->multiply_batch(inputs, policy_)
-                  : dense_gemm_batch(l.weight, inputs, policy_);
+  return l.plan ? series_gemm_batch(*l.plan, inputs, policy_)
+                : dense_gemm_batch(l.weight, inputs, policy_);
 }
 
 bool CompiledNetwork::is_chain() const {
@@ -153,7 +163,7 @@ std::vector<MatrixF> CompiledNetwork::run_network_batch(
 }
 
 std::vector<LayerTiming> CompiledNetwork::measure() const {
-  Rng rng(opt_.measure.data_seed);
+  Rng rng(kMeasureSeed);
   const ExecPolicy p = policy();
   std::vector<LayerTiming> out;
   out.reserve(layers_.size());
@@ -170,7 +180,6 @@ std::vector<LayerTiming> CompiledNetwork::measure() const {
     // to the true N, so cross-layer savings rankings are preserved.
     t.n = measured_n(l.n, opt_.n_divisor);
     t.config = l.config;
-    t.kept_nnz_fraction = l.kept_nnz_fraction;
 
     const MatrixF b = random_dense(t.k, t.n, Dist::kNormalStd1, rng);
     // A configured layer holds no weight; its dense reference runs on the
@@ -190,8 +199,8 @@ std::vector<LayerTiming> CompiledNetwork::measure() const {
     for (Timer warm; warm.millis() < 2.0;) {
       const MatrixF c = dense_gemm(dense, b, p);
       sink = sink + c(0, 0);
-      if (l.series) {
-        const MatrixF c2 = l.series->multiply(b, p);
+      if (l.plan) {
+        const MatrixF c2 = series_gemm(*l.plan, b, p);
         sink = sink + c2(0, 0);
       }
     }
@@ -199,9 +208,9 @@ std::vector<LayerTiming> CompiledNetwork::measure() const {
       const MatrixF c = dense_gemm(dense, b, p);
       sink = sink + c(0, 0);
     });
-    if (l.series) {
+    if (l.plan) {
       t.tasd_ms = time_ms_min(opt_.measure.repeats, [&] {
-        const MatrixF c = l.series->multiply(b, p);
+        const MatrixF c = series_gemm(*l.plan, b, p);
         sink = sink + c(0, 0);
       });
     }
@@ -210,11 +219,9 @@ std::vector<LayerTiming> CompiledNetwork::measure() const {
   return out;
 }
 
-namespace detail {
-
-CompiledNetwork assemble_network(std::string name,
-                                 std::vector<dnn::LayerBinding> layers,
-                                 const CompileOptions& opt) {
+CompiledNetwork compile(std::string name,
+                        std::vector<dnn::LayerBinding> layers,
+                        const CompileOptions& opt) {
   TASD_CHECK_MSG(opt.n_divisor >= 1, "n_divisor must be >= 1");
   TASD_CHECK_MSG(opt.query_cols >= 1, "query_cols must be >= 1");
   TASD_CHECK_MSG(opt.measure.repeats >= 1, "measure.repeats must be >= 1");
@@ -262,42 +269,27 @@ CompiledNetwork assemble_network(std::string name,
       l.plan = std::move(binding.plan);
       l.fingerprint = binding.fingerprint;
     } else if (l.config) {
-      // The one decomposition of this layer's lifetime: through the
-      // shared cache (so sibling artifacts and future compiles reuse
-      // it), or a private plan when the cache is opted out.
+      // The one decomposition of this layer's lifetime, through the
+      // shared cache so sibling artifacts and future compiles reuse it.
       l.fingerprint = fingerprints[i];
-      l.plan = opt.measure.use_plan_cache
-                   ? plan_cache().get_or_build(l.fingerprint, binding.weight,
-                                               *l.config)
-                   : std::make_shared<const DecompositionPlan>(
-                         build_plan(binding.weight, *l.config));
+      l.plan = plan_cache().get_or_build(l.fingerprint, binding.weight,
+                                         *l.config);
     }
     // The plan is all a configured layer executes: its weight is not
     // kept, and goes with `layers`.
     if (l.plan) {
       l.m = l.plan->rows;
       l.k = l.plan->cols;
-      l.series.emplace(l.plan);
-      l.kept_nnz_fraction = static_cast<double>(l.series->nnz()) /
-                            static_cast<double>(l.m * l.k);
     } else {
       l.m = binding.weight.rows();
       l.k = binding.weight.cols();
       l.weight = std::move(binding.weight);
     }
-    l.kernel = l.series ? nm.name : dense.name;
+    l.kernel = l.plan ? nm.name : dense.name;
     l.batch_kernel = l.kernel;
     cn.layers_.push_back(std::move(l));
   }
   return cn;
-}
-
-}  // namespace detail
-
-CompiledNetwork compile(std::string name,
-                        std::vector<dnn::LayerBinding> layers,
-                        const CompileOptions& opt) {
-  return detail::assemble_network(std::move(name), std::move(layers), opt);
 }
 
 CompiledNetwork compile(const dnn::NetworkWorkload& net,

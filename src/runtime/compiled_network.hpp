@@ -7,18 +7,18 @@
 //
 // The artifact owns, per layer, what that layer executes — the weight of
 // a dense layer, or the DecompositionPlan of a configured one, whose
-// weight is dropped once the plan is bound — plus the bound kernel
-// (dense, or a TasdSeriesGemm over the plan) and the execution policy /
-// thread-pool binding. Plans are prewarmed through the process-wide
-// PlanCache exactly once, at compile time: run(), run_batch() and
-// measure() never decompose anything.
+// weight is dropped once the plan is bound — plus the execution policy /
+// thread-pool binding. A configured layer executes its plan
+// (series_gemm), a dense layer its weight (dense_gemm). Every plan goes
+// through the process-wide PlanCache, exactly once, at compile (or
+// load) time: run(), run_batch() and measure() never decompose anything.
 //
 // Contract (see DESIGN.md § Compile-once / execute-many):
 //  * Immutability — a CompiledNetwork has no mutating methods; every
 //    execution of the same artifact sees the same plans and weights.
 //  * Bit-exactness — run()/run_batch() are the same kernels the free
-//    execution paths use (TasdSeriesGemm::multiply / multiply_batch,
-//    dense_gemm / dense_gemm_batch), so outputs are bit-identical to those
+//    execution paths use (series_gemm / series_gemm_batch, dense_gemm /
+//    dense_gemm_batch), so outputs are bit-identical to those
 //    paths under the artifact's resolved policy() at every thread count.
 //    Kernel *selection* ("auto" → AVX2 vs scalar) picks a rounding family
 //    (see docs/kernels.md); within a family results never vary.
@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -40,7 +39,7 @@
 #include "core/plan_cache.hpp"
 #include "dnn/layer_binding.hpp"
 #include "dnn/workloads.hpp"
-#include "runtime/nm_gemm.hpp"
+#include "runtime/gemm_dispatch.hpp"
 
 namespace tasd::rt {
 
@@ -49,16 +48,11 @@ namespace tasd::rt {
 struct MeasureOptions {
   /// Timing repetitions; the minimum is reported.
   int repeats = 3;
-  std::uint64_t data_seed = 99;
   /// Kernel parallelism. 0 = the process default (TASD_NUM_THREADS, or
   /// hardware concurrency when unset); any other value builds a dedicated
   /// pool of that size, owned by the artifact. Timings change with the
   /// thread count, kernel *results* never do.
   std::size_t num_threads = 0;
-  /// Reuse decompositions from the process-wide PlanCache: repeated
-  /// compiles of the same weights (TASDER sweeps, bench reruns) perform
-  /// zero additional decompositions.
-  bool use_plan_cache = true;
 };
 
 /// Measured timings of one layer.
@@ -68,7 +62,6 @@ struct LayerTiming {
   double dense_ms = 0.0;
   double tasd_ms = 0.0;              ///< 0 when no series configured
   std::optional<TasdConfig> config;
-  double kept_nnz_fraction = 0.0;    ///< stored values / total positions
 
   /// Best available time for this layer. A deployment engineer who
   /// measures both engines keeps the dense kernel when the TASD series
@@ -136,32 +129,28 @@ struct CompileOptions {
 
 class CompiledNetwork;
 
-namespace detail {
-
-/// Assemble an artifact from layer bindings whose plans may be prebuilt:
-/// a binding carrying a plan (the artifact loader's) binds it directly —
-/// zero decompositions — and a configured binding without one decomposes
-/// its weight, through the PlanCache unless measure.use_plan_cache is
-/// off.
-/// Kernel names resolve through the kernel table at assembly time
-/// ("auto" → best_*()), so a deserialized network re-binds the fastest
-/// kernels the *loading* host can run. This is the single constructor
-/// path behind both rt::compile() and rt::load_artifact(), and the one
-/// place a kernel is chosen: every layer binds the network-wide
+/// Compile explicit layer bindings (e.g. dnn::bind_layers of a model the
+/// TASDER facade optimized — see tasder::compile) into an artifact. A
+/// binding carrying a plan (the artifact loader's) binds it directly —
+/// zero decompositions; it must decompose the binding's config. A
+/// configured binding without one decomposes its weight through the
+/// PlanCache. Kernel names resolve through the kernel table here ("auto"
+/// → best_*()), so a deserialized network re-binds the fastest kernels
+/// the *loading* host can run. This is the single constructor path
+/// behind the workload overload below and rt::load_artifact(), and the
+/// one place a kernel is chosen: every layer binds the network-wide
 /// resolution.
-CompiledNetwork assemble_network(std::string name,
-                                 std::vector<dnn::LayerBinding> layers,
-                                 const CompileOptions& opt);
-
-}  // namespace detail
+CompiledNetwork compile(std::string name,
+                        std::vector<dnn::LayerBinding> layers,
+                        const CompileOptions& opt = {});
 
 /// An immutable executable artifact: per-layer bound kernels (dense or
 /// TASD series), shared decomposition plans, and the execution policy.
 /// Move-only; all methods are const.
 class CompiledNetwork {
  public:
-  /// One bound layer: what it executes (a dense weight, or the chosen
-  /// series and its shared plan) and the full-scale GEMM shape for
+  /// One bound layer: what it executes (a dense weight, or the shared
+  /// plan of the chosen series) and the full-scale GEMM shape for
   /// measurement.
   struct BoundLayer {
     std::string name;
@@ -176,11 +165,8 @@ class CompiledNetwork {
     /// weight it decomposes, taken at compile (or read from the
     /// artifact). Zero for dense layers.
     ContentFingerprint fingerprint;
-    /// Bound structured kernel; engaged exactly when config is.
-    std::optional<TasdSeriesGemm> series;
-    double kept_nnz_fraction = 0.0;  ///< stored values / total positions
     /// Table name of the resolved kernel of the layer's one slot (N:M
-    /// when `series` is bound, dense otherwise): `kernel` for run(),
+    /// when `plan` is bound, dense otherwise): `kernel` for run(),
     /// `batch_kernel` for run_batch(). Both always name the network-wide
     /// resolution in policy(); they are kept per layer so reports can
     /// list bindings.
@@ -198,7 +184,7 @@ class CompiledNetwork {
   [[nodiscard]] const BoundLayer& layer(std::size_t i) const;
   [[nodiscard]] const CompileOptions& options() const { return opt_; }
 
-  /// Layers with a bound TASD series.
+  /// Layers with a bound plan.
   [[nodiscard]] std::size_t configured_count() const;
 
   /// Compressed plan footprint in bytes across configured layers — the
@@ -216,8 +202,8 @@ class CompiledNetwork {
                       std::size_t item = static_cast<std::size_t>(-1)) const;
 
   /// Execute one layer on a dense right-hand side through its bound
-  /// kernel under policy(): the TASD series (TasdSeriesGemm::multiply)
-  /// when configured, the dense kernel otherwise. Bit-identical to those
+  /// kernel under policy(): the plan's TASD series (series_gemm) when
+  /// configured, the dense kernel otherwise. Bit-identical to those
   /// paths at every thread count. `input` must have layer(i).k rows.
   [[nodiscard]] MatrixF run(std::size_t layer_index,
                             const MatrixF& input) const;
@@ -250,12 +236,13 @@ class CompiledNetwork {
   [[nodiscard]] std::vector<MatrixF> run_network_batch(
       std::span<const MatrixF> inputs) const;
 
-  /// Measure every layer (dense kernel, and the TASD series where bound)
+  /// Measure every layer (dense kernel, and the plan's series where bound)
   /// at the compile-time n_divisor shrink: the Fig. 16 per-layer report.
   /// A configured layer times its dense reference on the same-shape
   /// plan->approximation(), built for the call: neither dense kernel
   /// branches on values, so the time does not depend on which matrix is
-  /// used. Feed the result to conversion_order() / network_latency_ms().
+  /// used. The measurement data is a fixed-seed random right-hand side.
+  /// Feed the result to conversion_order() / network_latency_ms().
   [[nodiscard]] std::vector<LayerTiming> measure() const;
 
   /// The network-wide execution policy (the artifact's pool binding and
@@ -264,9 +251,9 @@ class CompiledNetwork {
   [[nodiscard]] ExecPolicy policy() const { return policy_; }
 
  private:
-  friend CompiledNetwork detail::assemble_network(
-      std::string name, std::vector<dnn::LayerBinding> layers,
-      const CompileOptions& opt);
+  friend CompiledNetwork compile(std::string name,
+                                 std::vector<dnn::LayerBinding> layers,
+                                 const CompileOptions& opt);
   CompiledNetwork() = default;
 
   std::string name_;
@@ -283,13 +270,6 @@ class CompiledNetwork {
 /// prewarming every configured layer's plan exactly once.
 CompiledNetwork compile(const dnn::NetworkWorkload& net,
                         const std::vector<std::optional<TasdConfig>>& configs,
-                        const CompileOptions& opt = {});
-
-/// Compile explicit layer bindings (e.g. dnn::bind_layers of a model the
-/// TASDER facade optimized — see tasder::compile). Same as
-/// detail::assemble_network.
-CompiledNetwork compile(std::string name,
-                        std::vector<dnn::LayerBinding> layers,
                         const CompileOptions& opt = {});
 
 }  // namespace tasd::rt

@@ -4,6 +4,22 @@
 
 namespace tasd::rt {
 
+namespace {
+
+/// cs[i] += Σ_t term_t * bs[i], term-major through the policy's kernel.
+/// Per output element the accumulation order is terms in series order, k
+/// ascending within a term, and the kernels' per-element order does not
+/// depend on column position or thread count — so one item, a packed
+/// batch and a per-item loop all produce the same bits.
+void accumulate(const DecompositionPlan& plan, std::span<const MatrixF> bs,
+                std::span<MatrixF> cs, const ExecPolicy& policy) {
+  const NmKernel kernel = resolve_nm(policy);
+  ThreadPool& pool = resolve_pool(policy);
+  for (const auto& t : plan.terms) kernel(t, bs, cs, pool);
+}
+
+}  // namespace
+
 MatrixF nm_gemm(const sparse::NMSparseMatrix& a, const MatrixF& b,
                 const ExecPolicy& policy) {
   TASD_CHECK_MSG(a.cols() == b.rows(), "N:M GEMM inner dim mismatch");
@@ -12,43 +28,35 @@ MatrixF nm_gemm(const sparse::NMSparseMatrix& a, const MatrixF& b,
   return c;
 }
 
-TasdSeriesGemm::TasdSeriesGemm(const Decomposition& decomposition)
-    : rows_(decomposition.residual.rows()),
-      cols_(decomposition.residual.cols()) {
-  owned_terms_.reserve(decomposition.terms.size());
-  for (const auto& t : decomposition.terms)
-    owned_terms_.push_back(t.compressed());
-}
-
-TasdSeriesGemm::TasdSeriesGemm(std::shared_ptr<const DecompositionPlan> plan)
-    : rows_(plan->rows), cols_(plan->cols), plan_(std::move(plan)) {}
-
-MatrixF TasdSeriesGemm::multiply(const MatrixF& b,
-                                 const ExecPolicy& policy) const {
-  TASD_CHECK_MSG(cols_ == b.rows(),
+MatrixF series_gemm(const DecompositionPlan& plan, const MatrixF& b,
+                    const ExecPolicy& policy) {
+  TASD_CHECK_MSG(plan.cols == b.rows(),
                  "TASD series GEMM shape mismatch: series is "
-                     << rows_ << "x" << cols_ << ", so b needs " << cols_
-                     << " rows, got " << b.rows() << "x" << b.cols());
-  MatrixF c(rows_, b.cols());
-  accumulate({&b, 1}, {&c, 1}, policy);
+                     << plan.rows << "x" << plan.cols << ", so b needs "
+                     << plan.cols << " rows, got " << b.rows() << "x"
+                     << b.cols());
+  MatrixF c(plan.rows, b.cols());
+  accumulate(plan, {&b, 1}, {&c, 1}, policy);
   return c;
 }
 
-std::vector<MatrixF> TasdSeriesGemm::multiply_batch(
-    std::span<const MatrixF> bs, const ExecPolicy& policy) const {
+std::vector<MatrixF> series_gemm_batch(const DecompositionPlan& plan,
+                                       std::span<const MatrixF> bs,
+                                       const ExecPolicy& policy) {
   std::vector<MatrixF> cs;
   cs.reserve(bs.size());
   for (std::size_t i = 0; i < bs.size(); ++i) {
-    TASD_CHECK_MSG(cols_ == bs[i].rows(),
+    TASD_CHECK_MSG(plan.cols == bs[i].rows(),
                    "TASD series batch GEMM shape mismatch: series is "
-                       << rows_ << "x" << cols_ << ", so every item needs "
-                       << cols_ << " rows, got " << bs[i].rows() << "x"
-                       << bs[i].cols() << " at item " << i);
-    cs.emplace_back(rows_, bs[i].cols());
+                       << plan.rows << "x" << plan.cols
+                       << ", so every item needs " << plan.cols << " rows, got "
+                       << bs[i].rows() << "x" << bs[i].cols() << " at item "
+                       << i);
+    cs.emplace_back(plan.rows, bs[i].cols());
   }
   if (bs.empty()) return cs;
   if (bs.size() == 1) {  // one contiguous RHS already: no pack/unpack
-    accumulate(bs, cs, policy);
+    accumulate(plan, bs, cs, policy);
     return cs;
   }
   // Pack the batch once and run every term against the packed pair as a
@@ -57,28 +65,10 @@ std::vector<MatrixF> TasdSeriesGemm::multiply_batch(
   const auto off = batch_offsets(bs);
   if (off.back() == 0) return cs;
   const MatrixF bp = pack_batch(bs, off);
-  MatrixF cp(rows_, off.back());
-  accumulate({&bp, 1}, {&cp, 1}, policy);
+  MatrixF cp(plan.rows, off.back());
+  accumulate(plan, {&bp, 1}, {&cp, 1}, policy);
   unpack_batch(cp, off, cs);
   return cs;
-}
-
-void TasdSeriesGemm::accumulate(std::span<const MatrixF> bs,
-                                std::span<MatrixF> cs,
-                                const ExecPolicy& policy) const {
-  // Term-major: per output element the accumulation order is terms in
-  // series order, k ascending within a term, and the kernels' per-element
-  // order does not depend on column position or thread count — so one
-  // item, a packed batch and a per-item loop all produce the same bits.
-  const NmKernel kernel = resolve_nm(policy);
-  ThreadPool& pool = resolve_pool(policy);
-  for (const auto& t : terms()) kernel(t, bs, cs, pool);
-}
-
-Index TasdSeriesGemm::nnz() const {
-  Index total = 0;
-  for (const auto& t : terms()) total += t.nnz();
-  return total;
 }
 
 }  // namespace tasd::rt

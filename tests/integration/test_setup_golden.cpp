@@ -227,9 +227,11 @@ TEST(SetupGolden, SearchServesWhatCompileBinds) {
   ASSERT_EQ(cn.layer_count(), execs.size());
   for (std::size_t i = 0; i < execs.size(); ++i) {
     if (!execs[i].weight_cfg) continue;
-    ASSERT_TRUE(cn.layer(i).plan) << i;
-    EXPECT_EQ(cn.layer(i).kept_nnz_fraction, *execs[i].weight_kept_fraction)
-        << cn.layer(i).name;
+    const auto& l = cn.layer(i);
+    ASSERT_TRUE(l.plan) << i;
+    const double kept = static_cast<double>(l.plan->nnz()) /
+                        static_cast<double>(l.m * l.k);
+    EXPECT_EQ(kept, *execs[i].weight_kept_fraction) << l.name;
   }
 }
 

@@ -5,8 +5,8 @@
 
 #include "accel/perf_model.hpp"
 #include "common/rng.hpp"
+#include "core/plan_cache.hpp"
 #include "core/tasd_gemm.hpp"
-#include "runtime/nm_gemm.hpp"
 #include "tensor/generator.hpp"
 
 namespace tasd {
@@ -31,14 +31,14 @@ TEST(CrossModel, SlotMacsAgreeBetweenPerfModelAndConfig) {
 }
 
 TEST(CrossModel, RuntimeNnzMatchesFunctionalKeptNnz) {
-  // The compressed runtime kernel stores exactly the elements the
+  // The compressed runtime plan stores exactly the elements the
   // functional decomposition kept.
   Rng rng(7201);
   const MatrixF w = random_unstructured(64, 256, 0.1, Dist::kNormalStd1, rng);
   for (const char* cfg : {"1:8", "2:8", "4:8+1:8"}) {
-    const auto d = decompose(w, TasdConfig::parse(cfg));
-    const rt::TasdSeriesGemm kernel(d);
-    EXPECT_EQ(kernel.nnz(), w.nnz() - d.residual.nnz()) << cfg;
+    const auto config = TasdConfig::parse(cfg);
+    const auto d = decompose(w, config);
+    EXPECT_EQ(build_plan(w, config).nnz(), w.nnz() - d.residual.nnz()) << cfg;
   }
 }
 
@@ -46,9 +46,9 @@ TEST(CrossModel, MacCountConsistency) {
   // tasd_gemm_macs (functional) == runtime nnz * N.
   Rng rng(7202);
   const MatrixF w = random_unstructured(32, 128, 0.2, Dist::kNormalStd1, rng);
-  const auto d = decompose(w, TasdConfig::parse("2:8+1:8"));
-  const rt::TasdSeriesGemm kernel(d);
-  EXPECT_EQ(tasd_gemm_macs(d, 16), kernel.nnz() * 16);
+  const auto cfg = TasdConfig::parse("2:8+1:8");
+  const auto d = decompose(w, cfg);
+  EXPECT_EQ(tasd_gemm_macs(d, 16), build_plan(w, cfg).nnz() * 16);
 }
 
 TEST(CrossModel, WeightKeptFractionFeedsEnergyGating) {

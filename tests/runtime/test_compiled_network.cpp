@@ -7,6 +7,7 @@
 #include "dnn/layer_binding.hpp"
 #include "dnn/workloads.hpp"
 #include "runtime/dense_gemm.hpp"
+#include "runtime/nm_gemm.hpp"
 #include "tensor/generator.hpp"
 
 namespace tasd::rt {
@@ -60,8 +61,9 @@ TEST(CompiledNetwork, CompileBindsLayersAndPrewarmsPlansExactlyOnce) {
     EXPECT_EQ(l.k, net.layers[i].k);
     EXPECT_EQ(l.n, net.layers[i].n);
     ASSERT_TRUE(l.plan);
-    ASSERT_TRUE(l.series);
-    EXPECT_GT(l.kept_nnz_fraction, 0.0);
+    const double kept = static_cast<double>(l.plan->nnz()) /
+                        static_cast<double>(l.m * l.k);
+    EXPECT_GT(kept, 0.0);
   }
 
   // A second compile of the same weights performs zero additional
@@ -79,7 +81,7 @@ TEST(CompiledNetwork, ConfigListMustAlign) {
 
 TEST(CompiledNetwork, RunMatchesDirectKernelPathsAtEveryThreadCount) {
   // Acceptance invariant: run()/run_batch() are bit-identical to the
-  // TasdSeriesGemm::multiply / multiply_batch (and dense_gemm) paths at
+  // series_gemm / series_gemm_batch (and dense_gemm) paths at
   // every thread count. The direct paths execute under the artifact's
   // resolved kernel selection ("auto" may bind the AVX2 family, whose
   // bits differ from the scalar registry defaults) but on the default
@@ -93,11 +95,11 @@ TEST(CompiledNetwork, RunMatchesDirectKernelPathsAtEveryThreadCount) {
 
   const MatrixF w0 = dnn::materialize_weight(net.layers[0]);
   const MatrixF w1 = dnn::materialize_weight(net.layers[1]);
-  const TasdSeriesGemm series(plan_cache().get_or_build(w0, *cfgs[0]));
+  const auto plan = plan_cache().get_or_build(w0, *cfgs[0]);
   ExecPolicy resolved;  // what "auto" resolves to, on the default pool
   resolved.dense_kernel = best_dense().fn;
   resolved.nm_kernel = best_nm().fn;
-  const MatrixF want0 = series.multiply(b0, resolved);
+  const MatrixF want0 = series_gemm(*plan, b0, resolved);
   const MatrixF want1 = dense_gemm(w1, b1, resolved);
 
   for (const std::size_t threads : {0u, 1u, 2u, 5u, 8u}) {
@@ -199,45 +201,23 @@ TEST(CompiledNetwork, RepeatedRunsPerformZeroAdditionalDecompositions) {
   EXPECT_EQ(after.misses, before.misses);
 }
 
-TEST(CompiledNetwork, PlanCacheOptOutBuildsPrivatePlans) {
-  const auto net = tiny_net();
-  CompileOptions opt;
-  opt.measure.use_plan_cache = false;
-  const auto before = plan_cache().stats();
-  const auto engine = compile(net, mixed_configs(), opt);
-  const auto after = plan_cache().stats();
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
-  ASSERT_TRUE(engine.layer(0).series);
-  Rng rng(427);
-  const MatrixF b = random_dense(net.layers[0].k, 3, Dist::kNormalStd1, rng);
-  EXPECT_EQ(engine.run(0, b).rows(), net.layers[0].m);
-}
-
 TEST(CompiledNetwork, ConfiguredLayerKeepsItsPlanKeyNotItsWeight) {
-  // With or without the shared cache, a configured layer holds its plan
-  // and the weight's fingerprint (the plan's cache key), and no weight;
-  // a dense layer keeps its weight.
+  // A configured layer holds its plan and the weight's fingerprint (the
+  // plan's cache key), and no weight; a dense layer keeps its weight.
   const auto net = tiny_net();
   const MatrixF w0 = dnn::materialize_weight(net.layers[0]);
   const MatrixF w1 = dnn::materialize_weight(net.layers[1]);
-  for (const bool use_cache : {true, false}) {
-    CompileOptions opt;
-    opt.measure.use_plan_cache = use_cache;
-    const auto engine = compile(net, mixed_configs(), opt);
-    const auto& configured = engine.layer(0);
-    ASSERT_TRUE(configured.plan);
-    EXPECT_TRUE(configured.weight.empty());
-    EXPECT_EQ(configured.fingerprint, content_fingerprint(w0));
-    EXPECT_EQ(configured.m, w0.rows());
-    EXPECT_EQ(configured.k, w0.cols());
-    EXPECT_DOUBLE_EQ(configured.kept_nnz_fraction,
-                     static_cast<double>(configured.plan->nnz()) /
-                         static_cast<double>(w0.size()));
-    const auto& dense = engine.layer(1);
-    EXPECT_FALSE(dense.plan);
-    EXPECT_EQ(dense.weight, w1);
-  }
+  const auto engine = compile(net, mixed_configs(), {});
+  const auto& configured = engine.layer(0);
+  ASSERT_TRUE(configured.plan);
+  EXPECT_TRUE(configured.weight.empty());
+  EXPECT_EQ(configured.fingerprint, content_fingerprint(w0));
+  EXPECT_EQ(configured.m, w0.rows());
+  EXPECT_EQ(configured.k, w0.cols());
+  EXPECT_EQ(configured.plan->nnz(), build_plan(w0, *mixed_configs()[0]).nnz());
+  const auto& dense = engine.layer(1);
+  EXPECT_FALSE(dense.plan);
+  EXPECT_EQ(dense.weight, w1);
 }
 
 TEST(CompiledNetwork, MeasureReportsEveryLayer) {
@@ -252,8 +232,8 @@ TEST(CompiledNetwork, MeasureReportsEveryLayer) {
   EXPECT_GT(timings[0].dense_ms, 0.0);
   EXPECT_GT(timings[0].tasd_ms, 0.0);
   EXPECT_TRUE(timings[0].config.has_value());
-  EXPECT_DOUBLE_EQ(timings[0].kept_nnz_fraction,
-                   engine.layer(0).kept_nnz_fraction);
+  EXPECT_EQ(timings[0].m, engine.layer(0).m);
+  EXPECT_EQ(timings[0].k, engine.layer(0).k);
   EXPECT_FALSE(timings[1].config.has_value());
   EXPECT_EQ(timings[1].tasd_ms, 0.0);
 }
@@ -303,9 +283,33 @@ TEST(CompiledNetwork, CompileFromExplicitBindings) {
   ASSERT_EQ(engine.layer_count(), 2u);
   EXPECT_EQ(engine.configured_count(), 1u);
   const MatrixF b = random_dense(32, 4, Dist::kNormalStd1, rng);
-  const TasdSeriesGemm series(
-      plan_cache().get_or_build(w0, TasdConfig::parse("2:4")));
-  EXPECT_EQ(engine.run(0, b), series.multiply(b, engine.policy()));
+  const auto plan = plan_cache().get_or_build(w0, TasdConfig::parse("2:4"));
+  EXPECT_EQ(engine.run(0, b), series_gemm(*plan, b, engine.policy()));
+}
+
+TEST(CompiledNetwork, CompileRejectsPrebuiltPlanOfAnotherConfig) {
+  // A binding that carries a plan is bound as-is, so the plan must
+  // decompose the binding's own config.
+  Rng rng(430);
+  std::vector<dnn::LayerBinding> bindings(1);
+  bindings[0].name = "mismatched";
+  bindings[0].positions = 4;
+  bindings[0].config = TasdConfig::parse("2:4");
+  const MatrixF w = random_dense(16, 32, Dist::kNormalStd1, rng);
+  bindings[0].plan = std::make_shared<const DecompositionPlan>(
+      build_plan(w, TasdConfig::parse("1:4")));
+  EXPECT_THROW((void)compile("mismatched", std::move(bindings), {}), Error);
+}
+
+TEST(CompiledNetwork, CompileRejectsPrebuiltPlanWithoutConfig) {
+  Rng rng(431);
+  std::vector<dnn::LayerBinding> bindings(1);
+  bindings[0].name = "unconfigured";
+  bindings[0].positions = 4;
+  const MatrixF w = random_dense(16, 32, Dist::kNormalStd1, rng);
+  bindings[0].plan = std::make_shared<const DecompositionPlan>(
+      build_plan(w, TasdConfig::parse("2:4")));
+  EXPECT_THROW((void)compile("unconfigured", std::move(bindings), {}), Error);
 }
 
 TEST(CompiledNetwork, CompileValidatesOptions) {

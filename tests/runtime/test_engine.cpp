@@ -64,6 +64,15 @@ TEST(Engine, NetworkLatencyComposition) {
   EXPECT_THROW(network_latency_ms(timings, order, 4), Error);
 }
 
+TEST(Engine, NetworkLatencyRejectsOutOfRangeOrderIndex) {
+  std::vector<LayerTiming> timings(2);
+  for (auto& t : timings) t.dense_ms = 10.0;
+  EXPECT_THROW(network_latency_ms(timings, {0, 2}, 2), Error);
+  EXPECT_THROW(network_latency_ms(timings, {5}, 1), Error);
+  // Indices past num_converted are never read.
+  EXPECT_DOUBLE_EQ(network_latency_ms(timings, {1, 7}, 1), 20.0);
+}
+
 TEST(Engine, ConversionOrderPrefersBiggestSavings) {
   std::vector<LayerTiming> timings(3);
   timings[0].dense_ms = 10.0;
@@ -97,25 +106,9 @@ TEST(Engine, SecondMeasurementPassDecomposesNothing) {
   EXPECT_GE(after.hits, before.hits + 2);
 }
 
-TEST(Engine, PlanCacheOptOutStillDecomposes) {
-  const auto net = tiny_net();
-  CompileOptions opt;
-  opt.n_divisor = 4;
-  opt.measure.repeats = 1;
-  opt.measure.use_plan_cache = false;
-  const std::vector<std::optional<TasdConfig>> cfgs{
-      TasdConfig::parse("2:4"), std::nullopt};
-  const auto before = plan_cache().stats();
-  const auto timings = compile(net, cfgs, opt).measure();
-  const auto after = plan_cache().stats();
-  EXPECT_EQ(after.hits, before.hits);
-  EXPECT_EQ(after.misses, before.misses);
-  EXPECT_GT(timings[0].tasd_ms, 0.0);
-}
-
 TEST(Engine, ExplicitThreadCountMatchesDefaultResults) {
-  // Timings differ with the thread count; measured layer metadata (the
-  // kept-non-zero fraction comes from the kernel-visible plan) must not.
+  // Timings differ with the thread count; measured layer metadata and
+  // the kept-non-zero fraction of the kernel-visible plan must not.
   const auto net = tiny_net();
   CompileOptions serial;
   serial.n_divisor = 4;
@@ -125,11 +118,19 @@ TEST(Engine, ExplicitThreadCountMatchesDefaultResults) {
   parallel.measure.num_threads = 4;
   const std::vector<std::optional<TasdConfig>> cfgs{
       TasdConfig::parse("2:4"), TasdConfig::parse("1:4")};
-  const auto a = compile(net, cfgs, serial).measure();
-  const auto b = compile(net, cfgs, parallel).measure();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_DOUBLE_EQ(a[i].kept_nnz_fraction, b[i].kept_nnz_fraction);
+  const auto a = compile(net, cfgs, serial);
+  const auto b = compile(net, cfgs, parallel);
+  const auto ta = a.measure();
+  const auto tb = b.measure();
+  ASSERT_EQ(ta.size(), tb.size());
+  const auto kept = [](const CompiledNetwork::BoundLayer& l) {
+    return static_cast<double>(l.plan->nnz()) / static_cast<double>(l.m * l.k);
+  };
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(ta[i].n, tb[i].n);
+    EXPECT_EQ(ta[i].config, tb[i].config);
+    EXPECT_DOUBLE_EQ(kept(a.layer(i)), kept(b.layer(i)));
+  }
 }
 
 // --- Fig. 16 conversion-ranking regressions: a configured layer whose

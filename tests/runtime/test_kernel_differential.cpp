@@ -203,14 +203,15 @@ TEST(KernelDifferential, MixedPatternSeriesAgreesAcrossFamilies) {
     const MatrixF a =
         random_unstructured(d.m, d.k, 0.3, Dist::kNormalStd1, rng);
     const MatrixF b = random_dense(d.k, d.n, Dist::kNormalStd1, rng);
-    const auto dec = decompose(a, TasdConfig::parse("2:8+1:8"));
-    const TasdSeriesGemm series(dec);
+    const auto cfg = TasdConfig::parse("2:8+1:8");
+    const auto dec = decompose(a, cfg);
+    const auto plan = build_plan(a, cfg);
     const MatrixF functional = gemm_ref(dec.approximation(), b);
     std::map<std::string, MatrixF> canon;
     for (const auto& [kernel, fn] : nm_kernels()) {
       ExecPolicy policy;
       policy.nm_kernel = fn;
-      check_family(canon, kernel, series.multiply(b, policy), functional,
+      check_family(canon, kernel, series_gemm(plan, b, policy), functional,
                    d.label);
     }
   }

@@ -1,5 +1,5 @@
 // Stored-order oracle for the N:M kernels: every table N:M kernel,
-// and TasdSeriesGemm over a whole series, must reproduce bit-for-bit the
+// and series_gemm over a whole series, must reproduce bit-for-bit the
 // chain that walks each output element's stored values term by term in
 // series order, columns ascending — one std::fma per value for the FMA
 // family, one multiply then one add for the scalar family
@@ -144,7 +144,6 @@ TEST(KernelOracle, NmKernelsMatchStoredOrderChainBitwise) {
     bs.push_back(std::move(b));
   }
 
-  const TasdSeriesGemm series(plan);
   for (const auto& [kernel, fn] : nm_kernels()) {
     const bool fused = rounding_family(kernel) == "fma";
     for (const std::size_t threads : {1u, 3u, 5u}) {
@@ -160,11 +159,11 @@ TEST(KernelOracle, NmKernelsMatchStoredOrderChainBitwise) {
           EXPECT_TRUE(same_bits(nm_gemm(plan->terms[t], b, policy),
                                 oracle({&plan->terms[t], 1}, b, fused)))
               << at << " term=" << t;
-        EXPECT_TRUE(same_bits(series.multiply(b, policy),
+        EXPECT_TRUE(same_bits(series_gemm(*plan, b, policy),
                               oracle(plan->terms, b, fused)))
             << at << " series";
       }
-      const auto batch = series.multiply_batch(bs, policy);
+      const auto batch = series_gemm_batch(*plan, bs, policy);
       ASSERT_EQ(batch.size(), bs.size());
       for (std::size_t i = 0; i < bs.size(); ++i)
         EXPECT_TRUE(same_bits(batch[i], oracle(plan->terms, bs[i], fused)))

@@ -33,9 +33,9 @@ TEST_P(KernelEquivalence, SeriesKernelMatchesFunctionalModel) {
   const MatrixF a =
       random_unstructured(p.m, p.k, p.density, Dist::kNormalStd1, rng);
   const MatrixF b = random_dense(p.k, p.n, Dist::kNormalStd1, rng);
-  const auto d = decompose(a, TasdConfig::parse(p.config));
-  const TasdSeriesGemm series(d);
-  const MatrixF kernel_out = series.multiply(b);
+  const auto cfg = TasdConfig::parse(p.config);
+  const auto d = decompose(a, cfg);
+  const MatrixF kernel_out = series_gemm(build_plan(a, cfg), b);
   const MatrixF functional = gemm_ref(d.approximation(), b);
   EXPECT_TRUE(allclose(kernel_out, functional, 1e-4, 1e-4));
 }
@@ -170,8 +170,8 @@ TEST(KernelEdgeCases, OneByOne) {
   MatrixF a(1, 1, {3.0F});
   MatrixF b(1, 1, {4.0F});
   EXPECT_EQ(dense_gemm(a, b)(0, 0), 12.0F);
-  const auto d = decompose(a, TasdConfig::parse("1:4"));
-  EXPECT_EQ(TasdSeriesGemm(d).multiply(b)(0, 0), 12.0F);
+  const auto plan = build_plan(a, TasdConfig::parse("1:4"));
+  EXPECT_EQ(series_gemm(plan, b)(0, 0), 12.0F);
 }
 
 TEST(KernelEdgeCases, EmptyOutputColumns) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/decompose.hpp"
 #include "sparse/view.hpp"
 #include "tensor/gemm_ref.hpp"
 #include "tensor/generator.hpp"
@@ -32,42 +33,42 @@ TEST(NmGemm, InnerDimMismatchThrows) {
   EXPECT_THROW(nm_gemm(c, MatrixF(9, 2)), Error);
 }
 
-TEST(TasdSeriesGemm, LosslessSeriesEqualsDense) {
+TEST(SeriesGemm, LosslessSeriesEqualsDense) {
   Rng rng(513);
   const MatrixF a = random_unstructured(8, 32, 0.4, Dist::kNormalStd1, rng);
   // 4:8+4:8 keeps everything.
-  const auto d = decompose(a, TasdConfig::parse("4:8+4:8"));
-  ASSERT_TRUE(d.lossless());
-  const TasdSeriesGemm series(d);
+  const auto cfg = TasdConfig::parse("4:8+4:8");
+  ASSERT_TRUE(decompose(a, cfg).lossless());
+  const auto plan = build_plan(a, cfg);
   const MatrixF b = random_dense(32, 6, Dist::kNormalStd1, rng);
-  EXPECT_TRUE(allclose(series.multiply(b), gemm_ref(a, b), 1e-4, 1e-5));
+  EXPECT_TRUE(allclose(series_gemm(plan, b), gemm_ref(a, b), 1e-4, 1e-5));
 }
 
-TEST(TasdSeriesGemm, LossyErrorMatchesFunctionalModel) {
+TEST(SeriesGemm, LossyErrorMatchesFunctionalModel) {
   Rng rng(514);
   const MatrixF a = random_dense(8, 32, Dist::kNormalStd1, rng);
   const auto cfg = TasdConfig::parse("2:8");
   const auto d = decompose(a, cfg);
-  const TasdSeriesGemm series(d);
+  const auto plan = build_plan(a, cfg);
   const MatrixF b = random_dense(32, 4, Dist::kNormalStd1, rng);
   // Runtime kernel result == functional tasd_gemm result.
   const MatrixF approx = gemm_ref(d.approximation(), b);
-  EXPECT_TRUE(allclose(series.multiply(b), approx, 1e-4, 1e-5));
+  EXPECT_TRUE(allclose(series_gemm(plan, b), approx, 1e-4, 1e-5));
 }
 
-TEST(TasdSeriesGemm, NnzEqualsKeptElements) {
+TEST(SeriesGemm, NnzEqualsKeptElements) {
   Rng rng(515);
   const MatrixF a = random_unstructured(16, 64, 0.3, Dist::kNormalStd1, rng);
-  const auto d = decompose(a, TasdConfig::parse("2:8+1:8"));
-  const TasdSeriesGemm series(d);
-  EXPECT_EQ(series.nnz(), a.nnz() - d.residual.nnz());
-  EXPECT_EQ(series.term_count(), 2u);
+  const auto cfg = TasdConfig::parse("2:8+1:8");
+  const auto d = decompose(a, cfg);
+  const auto plan = build_plan(a, cfg);
+  EXPECT_EQ(plan.nnz(), a.nnz() - d.residual.nnz());
+  EXPECT_EQ(plan.terms.size(), 2u);
 }
 
-TEST(TasdSeriesGemm, EmptyDecomposition) {
-  const auto d = decompose(MatrixF(4, 8), TasdConfig::parse("2:8"));
-  const TasdSeriesGemm series(d);
-  const MatrixF c = series.multiply(MatrixF(8, 2));
+TEST(SeriesGemm, EmptyDecomposition) {
+  const auto plan = build_plan(MatrixF(4, 8), TasdConfig::parse("2:8"));
+  const MatrixF c = series_gemm(plan, MatrixF(8, 2));
   for (float v : c.flat()) EXPECT_EQ(v, 0.0F);
 }
 

@@ -103,40 +103,26 @@ TEST(ParallelKernels, TasdSeriesBitIdenticalAcrossThreadCounts) {
       Rng rng(300 + s.m + s.k + s.n);
       const MatrixF dense =
           random_unstructured(s.m, s.k, 0.3, Dist::kNormalStd1, rng);
-      const TasdSeriesGemm series(
-          decompose(dense, TasdConfig::parse("4:8+1:8")));
+      const auto plan = build_plan(dense, TasdConfig::parse("4:8+1:8"));
       const MatrixF b = random_dense(s.k, s.n, Dist::kNormalStd1, rng);
 
       ThreadPool serial(1);
       ExecPolicy serial_policy;
       serial_policy.pool = &serial;
       serial_policy.nm_kernel = fn;
-      const MatrixF reference = series.multiply(b, serial_policy);
+      const MatrixF reference = series_gemm(plan, b, serial_policy);
 
       for (std::size_t threads : kThreadCounts) {
         ThreadPool pool(threads);
         ExecPolicy policy;
         policy.pool = &pool;
         policy.nm_kernel = fn;
-        EXPECT_TRUE(series.multiply(b, policy) == reference)
+        EXPECT_TRUE(series_gemm(plan, b, policy) == reference)
             << kernel << " " << s.m << "x" << s.k << "x" << s.n
             << " threads=" << threads;
       }
     }
   }
-}
-
-TEST(ParallelKernels, SeriesFromPlanMatchesSeriesFromDecomposition) {
-  Rng rng(404);
-  const MatrixF dense =
-      random_unstructured(33, 40, 0.5, Dist::kNormalStd1, rng);
-  const auto cfg = TasdConfig::parse("2:8+1:8");
-  const MatrixF b = random_dense(40, 21, Dist::kNormalStd1, rng);
-  const TasdSeriesGemm from_decomp(decompose(dense, cfg));
-  const TasdSeriesGemm from_plan(plan_cache().get_or_build(dense, cfg));
-  EXPECT_EQ(from_decomp.nnz(), from_plan.nnz());
-  EXPECT_EQ(from_decomp.term_count(), from_plan.term_count());
-  EXPECT_TRUE(from_decomp.multiply(b) == from_plan.multiply(b));
 }
 
 TEST(ParallelKernels, CoreTasdGemmMatchesSerialTermMajorLoop) {
